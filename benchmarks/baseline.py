@@ -2,18 +2,19 @@
 """Regenerate the committed performance baseline.
 
 Runs the full, smoke *and* large benchmark tiers (see
-``repro.experiments.bench``) and writes ``benchmarks/BENCH_<rev>.json``
-next to this script. Run it from a clean checkout after a kernel or PHY
-change that is meant to shift performance, and commit the result::
+``repro.experiments.bench``), writes ``benchmarks/BENCH_<rev>.json``
+next to this script and points ``benchmarks/BASELINE`` at it. Run it
+from a clean checkout after a kernel or PHY change that is meant to
+shift performance, and commit both files::
 
     PYTHONPATH=src python benchmarks/baseline.py
 
 Pass ``--no-large`` to skip the scaling tier (minutes of 200-1000-node
 runs) when only the kernel numbers changed.
 
-CI and ``repro bench`` compare later runs against the newest committed
-``BENCH_*.json``, so the baseline should come from an otherwise idle
-machine (wall-clock noise becomes everyone's regression threshold).
+CI and ``repro bench`` compare later runs against the ``BENCH_*.json``
+that ``BASELINE`` names, so the baseline should come from an otherwise
+idle machine (wall-clock noise becomes everyone's regression threshold).
 """
 
 import json
@@ -35,10 +36,14 @@ def main() -> int:
         rev=rev,
         progress=lambda rec: print("  " + bench.render_point(rec), flush=True),
     )
-    out = os.path.join(os.path.dirname(__file__), f"BENCH_{rev}.json")
+    name = f"BENCH_{rev}.json"
+    out = os.path.join(os.path.dirname(__file__), name)
     with open(out, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
+    with open(os.path.join(os.path.dirname(__file__),
+                           bench.BASELINE_POINTER), "w") as fh:
+        fh.write(name + "\n")
     print(bench.render(report))
     print(f"wrote {out}")
     return 0

@@ -35,7 +35,6 @@ from repro.experiments.scenarios import (
     scaled_scenario,
     sinr_preset,
 )
-from repro.sim.engine import KERNELS
 from repro.world.network import PROTOCOLS, ScenarioConfig, build_network
 
 
@@ -91,7 +90,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # Open the telemetry output up front so a bad path fails before the
     # run, not after minutes of simulation.
     telemetry_fh = open(args.telemetry, "w") if args.telemetry else None
-    network = build_network(config, tracer=tracer, kernel=args.kernel)
+    network = build_network(config, tracer=tracer)
     summary = network.run()
     if telemetry_fh is not None:
         import json
@@ -481,9 +480,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="max waypoint speed m/s (0 = stationary)")
     run.add_argument("--pause", type=float, default=10.0)
     run.add_argument("--seed", type=int, default=1)
-    run.add_argument("--kernel", choices=sorted(KERNELS), default="heap",
-                     help="event-queue kernel (bit-identical results; "
-                          "only the wall clock changes)")
     run.add_argument("--telemetry", metavar="OUT.json",
                      help="collect event-loop telemetry (events/sec, "
                           "per-label counts) and write it as JSON")
@@ -534,8 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out", metavar="OUT.json",
                        help="report path (default BENCH_<rev>.json in cwd)")
     bench.add_argument("--baseline", metavar="FILE_OR_DIR",
-                       help="baseline report, or a directory of BENCH_*.json "
-                            "(default: newest in benchmarks/)")
+                       help="baseline report, or a directory whose BASELINE "
+                            "file names one (default: benchmarks/)")
     bench.add_argument("--max-regression", type=float, default=30.0,
                        metavar="PCT",
                        help="fail if a point's events/sec drops more than "

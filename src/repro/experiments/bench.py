@@ -106,13 +106,6 @@ SMOKE_POINTS: List[dict] = [
               height=140.0, rate_pps=5.0, n_packets=10,
               sinr=sinr_preset("shadowing")),
      "label": "sinr-shadowing"},
-    # The same scenario through the calendar kernel: CI's cheap guard
-    # that the alternative kernel neither breaks nor bit-rots (its
-    # metrics must stay identical to the unlabeled heap point's, and
-    # its events/sec rides the same regression gate).
-    {**_point("smoke", "rmac", 2, repeat=3, n_nodes=12, width=200.0,
-              height=140.0, rate_pps=5.0, n_packets=10),
-     "label": "kernel-calendar", "kernel": "calendar"},
 ]
 
 #: Field sizes for the scaling tier, chosen to keep the paper's node
@@ -146,12 +139,6 @@ def _rebuild_point(n_nodes: int, epochs: int, seed: int = 1) -> dict:
             "epochs": epochs}
 
 
-def _kernel_point(kernel: str, n_events: int = 400_000) -> dict:
-    return {"mode": "large", "protocol": "kernel", "seed": 1,
-            "kind": "kernel-micro", "label": f"kernel-{kernel}",
-            "kernel": kernel, "n_events": n_events}
-
-
 #: The scaling tier. Full-stack points run with the default ``auto``
 #: indexing (grid at these sizes); ``compare_brute`` re-runs the same
 #: scenario with indexing forced to brute and asserts bit-identical
@@ -164,14 +151,10 @@ LARGE_POINTS: List[dict] = [
     _large_point(500, False, 1),
     _large_point(500, True, 1),
     _large_point(1000, False, 1),
-    # The headline point (ROADMAP: the 1M events/sec lane) runs on the
-    # calendar kernel; ``compare_kernel`` re-runs it on the heap and
-    # asserts bit-identical metrics, recording ``heap_eps`` and the
-    # kernel speedup alongside the brute-indexing comparison. Best-of-3
+    # The headline point, with the brute-indexing comparison. Best-of-3
     # like the gated smoke points: a single sample of a 5-second run on
     # a shared machine is too noisy for a headline number.
-    _large_point(1000, True, 1, repeat=3, compare_brute=True,
-                 compare_kernel=True, kernel="calendar"),
+    _large_point(1000, True, 1, repeat=3, compare_brute=True),
     # SINR scaling point: 500 static nodes under lognormal shadowing
     # with interference accounting on -- the nightly number for "what
     # does accumulated-power reception cost at scale". Crafted by hand
@@ -185,11 +168,11 @@ LARGE_POINTS: List[dict] = [
     _rebuild_point(200, epochs=40),
     _rebuild_point(500, epochs=30),
     _rebuild_point(1000, epochs=20),
-    # Kernel microbenchmarks: the synthetic scheduling workload of
-    # :func:`_run_kernel_point` on each kernel, free of protocol-stack
-    # dilution -- the apples-to-apples number for the queues themselves.
-    _kernel_point("heap"),
-    _kernel_point("calendar"),
+    # Kernel microbenchmark: the synthetic scheduling workload of
+    # :func:`_run_kernel_point`, free of protocol-stack dilution -- the
+    # number for the event queue itself.
+    {"mode": "large", "protocol": "kernel", "seed": 1,
+     "kind": "kernel-micro", "label": "kernel-heap", "n_events": 400_000},
 ]
 
 #: ``repro bench --tier <name>`` choices.
@@ -239,7 +222,6 @@ def run_point(point: dict) -> dict:
         return _run_rebuild_point(point)
     if point.get("kind") == "kernel-micro":
         return _run_kernel_point(point)
-    kernel = point.get("kernel", "heap")
     best = None
     for _ in range(max(1, int(point.get("repeat", 1)))):
         config = ScenarioConfig(
@@ -248,14 +230,13 @@ def run_point(point: dict) -> dict:
             collect_telemetry=True,
             **point["config"],
         )
-        summary = build_network(config, kernel=kernel).run()
+        summary = build_network(config).run()
         telemetry = summary.telemetry or {}
         record = {
             "mode": point["mode"],
             "protocol": point["protocol"],
             "seed": point["seed"],
             "label": point.get("label"),
-            "kernel": kernel,
             "events": summary.events_processed,
             "wall_s": summary.wall_time_s,
             "eps": summary.events_per_sec,
@@ -286,7 +267,7 @@ def run_point(point: dict) -> dict:
             collect_telemetry=True,
             **point["config"],
         )
-        network = build_network(config, kernel=kernel)
+        network = build_network(config)
         network.testbed.neighbors.force_indexing("brute")
         brute = network.run()
         brute_metrics = {name: getattr(brute, name) for name in METRIC_FIELDS}
@@ -300,30 +281,6 @@ def run_point(point: dict) -> dict:
         best["brute_eps"] = brute.events_per_sec
         if brute.events_per_sec and best["eps"]:
             best["e2e_speedup_vs_brute"] = best["eps"] / brute.events_per_sec
-    if point.get("compare_kernel"):
-        # Same scenario on the *other* kernel (heap when the primary is
-        # calendar and vice versa). Kernels are bit-identical by
-        # contract, so the metrics must match exactly; the two clocks
-        # are the end-to-end kernel comparison at full-stack scale.
-        other = "heap" if kernel != "heap" else "calendar"
-        config = ScenarioConfig(
-            protocol=point["protocol"],
-            seed=point["seed"],
-            collect_telemetry=True,
-            **point["config"],
-        )
-        alt = build_network(config, kernel=other).run()
-        alt_metrics = {name: getattr(alt, name) for name in METRIC_FIELDS}
-        if alt_metrics != best["metrics"]:
-            drifted = sorted(name for name in METRIC_FIELDS
-                             if alt_metrics[name] != best["metrics"][name])
-            raise RuntimeError(
-                f"{kernel} vs {other} kernel metrics diverged on "
-                f"{point.get('label')}: {', '.join(drifted)}"
-            )
-        best[f"{other}_eps"] = alt.events_per_sec
-        if alt.events_per_sec and best["eps"]:
-            best["kernel_speedup"] = best["eps"] / alt.events_per_sec
     return best
 
 
@@ -426,8 +383,7 @@ def _run_rebuild_point(point: dict) -> dict:
 def _run_kernel_point(point: dict) -> dict:
     """Time the event kernel alone on a synthetic scheduling workload.
 
-    The workload mirrors the simulator's real timing structure -- the
-    distribution calendar queues exploit and heaps pay log(n) for:
+    The workload mirrors the simulator's real timing structure:
 
     * 64 self-rescheduling ticks at the 20 us slot quantum with small
       per-"node" phase skews (the MAC backoff pumps);
@@ -482,12 +438,11 @@ def _run_kernel_point(point: dict) -> dict:
     def _cancel_target() -> None:
         pass
 
-    kernel = point["kernel"]
     n_events = point["n_events"]
     best = float("inf")
     executed = 0
     for _ in range(3):
-        sim = Simulator(kernel=kernel)
+        sim = Simulator()
         for phase in range(64):
             sim.after(phase * 311, _Tick(sim, phase), label="kernel-tick")
         start = perf_counter()
@@ -500,7 +455,6 @@ def _run_kernel_point(point: dict) -> dict:
         "seed": point["seed"],
         "label": point["label"],
         "kind": "kernel-micro",
-        "kernel": kernel,
         "events": executed,
         "wall_s": best,
         "eps": (executed / best) if best > 0 else 0.0,
@@ -537,20 +491,21 @@ def run_bench(points: Sequence[dict], rev: Optional[str] = None,
 # ----------------------------------------------------------------------
 # Baseline discovery and comparison
 # ----------------------------------------------------------------------
+#: Name of the one-line file naming the current baseline report.
+BASELINE_POINTER = "BASELINE"
+
+
 def find_baseline(directory: str) -> Optional[str]:
-    """Path of the newest committed ``BENCH_<rev>.json`` in ``directory``
-    (by modification time; None if the directory has no baselines)."""
+    """Path of the committed baseline in ``directory``: the
+    ``BENCH_<rev>.json`` named by its one-line ``BASELINE`` pointer
+    (None if there is no pointer). File mtimes are not used: a fresh
+    checkout gives every file the same one."""
     try:
-        names = [
-            name for name in os.listdir(directory)
-            if name.startswith("BENCH_") and name.endswith(".json")
-        ]
+        with open(os.path.join(directory, BASELINE_POINTER)) as fh:
+            name = fh.read().strip()
     except OSError:
         return None
-    if not names:
-        return None
-    paths = [os.path.join(directory, name) for name in names]
-    return max(paths, key=os.path.getmtime)
+    return os.path.join(directory, name) if name else None
 
 
 def load_baseline(path: str) -> dict:
@@ -636,20 +591,15 @@ def render_point(point: dict) -> str:
         )
     if point.get("kind") == "kernel-micro":
         return (f"{_point_label(point)}: {point['events']} synthetic ev @ "
-                f"{point['eps']:,.0f}/s on the {point['kernel']} kernel")
+                f"{point['eps']:,.0f}/s")
     top = sorted((point.get("subsystem_wall_s") or {}).items(),
                  key=lambda kv: -kv[1])[:4]
     subsystems = ", ".join(f"{name}={secs * 1e3:.0f}ms" for name, secs in top)
     line = (f"{_point_label(point)}: "
             f"{point['events']} ev @ {point['eps']:,.0f}/s")
-    if point.get("kernel") and point["kernel"] != "heap":
-        line += f" [{point['kernel']} kernel]"
     if point.get("brute_eps"):
         line += (f" (brute rerun {point['brute_eps']:,.0f}/s, "
                  f"{point.get('e2e_speedup_vs_brute', 0.0):.2f}x e2e)")
-    if point.get("heap_eps"):
-        line += (f" (heap rerun {point['heap_eps']:,.0f}/s, "
-                 f"{point.get('kernel_speedup', 0.0):.2f}x kernel)")
     if subsystems:
         line += f"  [{subsystems}]"
     return line

@@ -1,47 +1,30 @@
 """The discrete-event simulator core.
 
-A :class:`Simulator` owns an integer-nanosecond clock and a pluggable
-event queue (the **kernel**). Events are plain callbacks scheduled at
-absolute times; ties are broken by insertion order (a per-simulator
-sequence number), so execution is fully deterministic regardless of the
-kernel. Cancellation is O(1) (lazy deletion: the handle is flagged and
-skipped when popped), with a compaction policy that sweeps flagged
-entries out of the queue when they pile up.
+A :class:`Simulator` owns an integer-nanosecond clock and one binary
+heap (``heapq``) of ``(time, seq, item)`` entries. Events are plain
+callbacks scheduled at absolute times; ties are broken by insertion
+order (a per-simulator sequence number), so execution is fully
+deterministic. Push and pop are O(log n), all in C.
 
-Two kernels ship (``Simulator(kernel=...)``, default ``"heap"``):
-
-* ``"heap"`` -- the classic binary heap (`heapq`): O(log n) push/pop,
-  the reference implementation every other kernel must be bit-identical
-  to.
-* ``"calendar"`` -- a calendar/bucket queue (:class:`CalendarQueue`)
-  tuned to the protocol's timing structure: the MACs schedule
-  overwhelmingly at a handful of near-future quanta (20 us slots, the
-  15 us CCA, SIFS/DIFS, sub-microsecond propagation delays -- see
-  ``repro.phy.params``), which is exactly the near-future-heavy
-  distribution calendar queues turn into O(1) enqueue/dequeue. Days of
-  2**15 ns (~33 us, slot scale) hash into a ring of buckets; the
-  current day's entries are kept as a sorted cursor list, so a pop is
-  a list index and a push is an append (or a C-level ``insort`` for
-  same-day pushes).
-
-Both kernels implement the narrow :class:`EventQueue` drain protocol,
-so third-party kernels (e.g. a re-tuned ``CalendarQueue``) can be
-passed as instances: ``Simulator(kernel=CalendarQueue(day_shift=12))``.
-The ``"heap"`` kernel's run loop is additionally inlined into
+Cancellation is O(1) lazy deletion: the handle is flagged and skipped
+when popped, while a cancelled-entry counter keeps
+:attr:`Simulator.queue_depth` O(1) and triggers a compaction sweep once
+flagged entries make up half the heap. The run loop is inlined into
 :meth:`Simulator.run` (one heap access per event, no per-event method
-calls) -- profiling showed the generic drain costing ~10% there.
+calls) -- profiling showed a peek-then-delegate loop costing ~10% of
+paper-scale runs.
 
 This is the substrate standing in for GloMoSim's event kernel; every
 other subsystem (PHY, MAC, network layer, mobility, metrics) hangs off
-one ``Simulator`` instance.
+one ``Simulator`` instance. ``tools/fingerprints.py`` pins the event
+order end to end against committed full-stack trace digests.
 """
 
 from __future__ import annotations
 
 import heapq
-from bisect import insort
 from time import perf_counter
-from typing import Any, Callable, Iterator, Optional, Tuple, Union
+from typing import Any, Callable, Optional, Tuple
 
 
 class SimulationError(RuntimeError):
@@ -85,20 +68,20 @@ class EventHandle:
     """
 
     __slots__ = ("time", "seq", "callback", "_cancelled", "_fired", "label",
-                 "_queue")
+                 "_sim")
 
     def __init__(self, time: int, seq: int, callback: Callable[[], None],
-                 label: str = "", queue: Optional["EventQueue"] = None):
+                 label: str = "", sim: Optional["Simulator"] = None):
         self.time = time
         self.seq = seq
         self.callback: Optional[Callable[[], None]] = callback
         self.label = label
         self._cancelled = False
         self._fired = False
-        #: The kernel holding this handle's entry; told about the
-        #: cancellation so live-depth accounting stays O(1) and the
+        #: The simulator whose heap holds this handle's entry; told about
+        #: the cancellation so live-depth accounting stays O(1) and the
         #: compaction policy can trigger (None for detached handles).
-        self._queue = queue
+        self._sim = sim
 
     def cancel(self) -> None:
         """Cancel the event. Cancelling a fired or cancelled event is a no-op.
@@ -111,9 +94,9 @@ class EventHandle:
             return
         self._cancelled = True
         self.callback = None
-        queue = self._queue
-        if queue is not None:
-            queue.note_cancel()
+        sim = self._sim
+        if sim is not None:
+            sim._note_cancel()
 
     @property
     def cancelled(self) -> bool:
@@ -144,381 +127,30 @@ class EventHandle:
 Entry = Tuple[int, int, Any]
 
 #: Sentinel horizon: far beyond any reachable simulation time or event
-#: count, so the hot loops compare plain ints instead of testing None.
+#: count, so the hot loop compares plain ints instead of testing None.
 _FOREVER = 1 << 62
 
 
-class EventQueue:
-    """The narrow kernel interface between storage policy and the loop.
-
-    A kernel owns event *storage and ordering*; the :class:`Simulator`
-    owns the clock, sequence numbers and dispatch. Implementations must
-    deliver entries in exact ``(time, seq)`` order -- that invariant is
-    what makes every kernel bit-identical to every other (property-
-    tested in ``tests/properties``), so protocols never observe which
-    kernel is underneath.
-
-    Required surface:
-
-    * ``name`` -- kernel name for telemetry/CLI.
-    * :meth:`push` -- store one entry.
-    * the **drain protocol**: ``_due`` (a list of entries, sorted
-      ascending), ``_due_i`` (cursor into it), and :meth:`_refill`
-      which, when the cursor exhausts ``_due``, replaces its contents
-      with the next batch of entries (respecting an ``until`` horizon)
-      and resets the cursor. The run loop consumes ``_due[_due_i]``
-      by incrementing the cursor only; consumption is *settled* against
-      ``_count`` when :meth:`_refill` (or a cursor-discarding push
-      path) subtracts the cursor -- keeping the per-event cost at one
-      integer store. A same-day push may ``insort`` into ``_due`` at or
-      after the cursor. The batch granularity is the kernel's choice
-      (the heap refills one entry at a time; the calendar a day at a
-      time).
-    * ``_count`` -- live + lazily-cancelled entries currently stored.
-    * ``cancelled`` / :meth:`note_cancel` / :meth:`compact` -- lazy-
-      deletion accounting: ``cancelled`` counts flagged entries still
-      stored, so ``live_depth`` stays O(1) and compaction can trigger
-      once flagged entries dominate.
-    * :meth:`live_depth`, :meth:`entries` -- instrumentation.
-    """
-
-    name = "abstract"
+class Simulator:
+    """Deterministic discrete-event simulator with an integer-ns clock."""
 
     #: Compaction triggers once at least this many cancelled entries
-    #: are stored *and* they make up half the queue; after a sweep the
-    #: floor rises past whatever could not be removed (entries parked
-    #: in the active cursor list), so cancels can never trigger
-    #: back-to-back futile sweeps.
+    #: are stored *and* they make up half the heap; after a sweep the
+    #: floor rises past whatever could not be removed, so cancels can
+    #: never trigger back-to-back futile sweeps.
     COMPACT_MIN = 1024
 
     def __init__(self) -> None:
-        self._due: list = []
-        self._due_i = 0
-        self._count = 0
-        self.cancelled = 0
-        self._compact_at = self.COMPACT_MIN
-
-    # -- storage -------------------------------------------------------
-    def push(self, time: int, seq: int, item: Any) -> None:
-        raise NotImplementedError
-
-    def _refill(self, until: Optional[int]) -> bool:
-        """Refill ``_due`` with the next batch; False if nothing is due.
-
-        Must not disturb (or pop) entries whose firing time lies beyond
-        ``until`` -- the queue composes across back-to-back ``run``
-        calls.
-        """
-        raise NotImplementedError
-
-    # -- lazy deletion -------------------------------------------------
-    def note_cancel(self) -> None:
-        """Account one freshly-cancelled stored entry; maybe compact."""
-        self.cancelled = cancelled = self.cancelled + 1
-        if cancelled >= self._compact_at and (
-                2 * cancelled >= self._count - self._due_i):
-            self.compact()
-            self._compact_at = max(self.COMPACT_MIN, 2 * self.cancelled + 256)
-
-    def compact(self) -> None:
-        """Sweep lazily-cancelled entries out of storage."""
-        raise NotImplementedError
-
-    # -- instrumentation -----------------------------------------------
-    def live_depth(self) -> int:
-        """Pending (not-cancelled) entries currently stored; O(1)."""
-        return self._count - self._due_i - self.cancelled
-
-    def entries(self) -> Iterator[Entry]:
-        """Every stored entry, in no particular order (tests only)."""
-        raise NotImplementedError
-
-
-class HeapQueue(EventQueue):
-    """The reference kernel: a binary heap of ``(time, seq, item)``.
-
-    O(log n) push/pop via ``heapq`` (all in C). When selected by name
-    (``Simulator(kernel="heap")``) the run loop bypasses the drain
-    protocol entirely and pops the heap inline; the protocol methods
-    below exist so a ``HeapQueue`` *instance* still works behind the
-    generic loop (the interface conformance tests run it there).
-    """
-
-    name = "heap"
-
-    def __init__(self) -> None:
-        super().__init__()
+        #: The event queue: a heap of :data:`Entry` tuples.
         self._heap: list = []
-
-    def push(self, time: int, seq: int, item: Any) -> None:
-        # A push below the parked cursor tail (possible between runs,
-        # after run(until=...) left a peeked entry in _due) must not be
-        # overtaken by it: flush the tail back into the heap first.
-        due = self._due
-        if due:
-            for entry in due[self._due_i:]:
-                heapq.heappush(self._heap, entry)
-            self._count -= self._due_i  # settle consumed entries
-            due.clear()
-            self._due_i = 0
-        heapq.heappush(self._heap, (time, seq, item))
-        self._count += 1
-
-    def note_cancel(self) -> None:
-        # The heap's physical size is just len(); the inlined fast path
-        # (Simulator(kernel="heap")) deliberately skips _count
-        # maintenance to keep scheduling at two attribute ops, so the
-        # base class's _count-based compaction trigger would misfire.
-        self.cancelled = cancelled = self.cancelled + 1
-        if cancelled >= self._compact_at and 2 * cancelled >= len(self._heap):
-            self.compact()
-            self._compact_at = max(self.COMPACT_MIN, 2 * self.cancelled + 256)
-
-    def _refill(self, until: Optional[int]) -> bool:
-        due = self._due
-        self._count -= self._due_i  # settle consumed entries
-        due.clear()
-        self._due_i = 0
-        heap = self._heap
-        if not heap:
-            return False
-        if until is not None and heap[0][0] > until:
-            return False
-        due.append(heapq.heappop(heap))
-        return True
-
-    def compact(self) -> None:
-        heap = self._heap
-        live = [entry for entry in heap if not entry[2]._cancelled]
-        removed = len(heap) - len(live)
-        # In-place: the run loop (and any caller) may hold a reference.
-        heap[:] = live
-        heapq.heapify(heap)
-        self._count -= removed
-        self.cancelled -= removed
-
-    def entries(self) -> Iterator[Entry]:
-        yield from self._heap
-        yield from self._due[self._due_i:]
-
-    def live_depth(self) -> int:
-        pending = len(self._heap) + (len(self._due) - self._due_i)
-        return pending - self.cancelled
-
-
-class CalendarQueue(EventQueue):
-    """A calendar/bucket queue: O(1) push and pop for near-future events.
-
-    Time is divided into **days** of ``2**day_shift`` ns hashing into a
-    ring of ``n_buckets`` unsorted buckets (``day & (n_buckets - 1)``).
-    The cursor day's entries live in the sorted ``_due`` list; a pop is
-    ``_due[_due_i]`` plus a cursor increment, a push is a bucket append
-    (or, for the current day, a C-level ``insort`` at/after the
-    cursor -- a scheduled-into-the-past entry cannot exist, so sorted
-    order is preserved without ever moving consumed entries).
-
-    When the cursor day drains, :meth:`_refill` walks the ring to the
-    next populated day and partitions that bucket: this-day entries are
-    sorted into ``_due``, far-future entries (a full ring span or more
-    ahead: BLESS heartbeats, traffic timers, mobility legs) stay put
-    and are re-examined one lap later. A completely dry lap (every
-    stored entry lies beyond one ring span) jumps the cursor straight
-    to the earliest populated day instead of spinning.
-
-    Defaults: ``day_shift=15`` makes a ~33 us day -- the scale of the
-    backoff slot (20 us) and CCA (15 us) that dominate MAC scheduling --
-    so a day holds a handful of events at paper densities; 2048 buckets
-    span ~67 ms per lap, amortizing far-future touch cost to nothing.
-    Both are constructor-tunable; the defaults are benchmarked in
-    ``repro bench --tier large``.
-    """
-
-    name = "calendar"
-
-    def __init__(self, day_shift: int = 15, n_buckets: int = 2048) -> None:
-        if n_buckets & (n_buckets - 1) or n_buckets <= 0:
-            raise ValueError(f"n_buckets must be a power of two, got {n_buckets}")
-        if day_shift < 0:
-            raise ValueError(f"negative day_shift {day_shift}")
-        super().__init__()
-        self._shift = day_shift
-        self._mask = n_buckets - 1
-        self._buckets: list = [[] for _ in range(n_buckets)]
-        #: Absolute day number the cursor (``_due``) currently covers.
-        self._day = 0
-        #: Occupancy bitmask, bit *i* set when ``_buckets[i]`` may be
-        #: non-empty (a superset: push sets bits eagerly, _refill and
-        #: compact clear them lazily when a bucket is seen empty). Lets
-        #: the refill walk jump over empty days in O(1) big-int ops --
-        #: sparse stretches (warmup/drain, heartbeat-only traffic) would
-        #: otherwise probe thousands of empty buckets per refill.
-        self._occ = 0
-
-    def push(self, time: int, seq: int, item: Any) -> None:
-        day = time >> self._shift
-        cursor_day = self._day
-        if day == cursor_day:
-            # Same-day push: keep _due sorted. Everything at or before
-            # the cursor has (time, seq) <= the new entry's, so
-            # inserting at/after the cursor preserves total order.
-            insort(self._due, (time, seq, item), self._due_i)
-        elif day > cursor_day:
-            idx = day & self._mask
-            bucket = self._buckets[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append((time, seq, item))
-        else:
-            # Earlier than the cursor day: only possible between runs
-            # (run(until=...) can park the cursor on a later day, and a
-            # fresh schedule may land in the gap). Rewind the cursor.
-            tail = self._due[self._due_i:]
-            if tail:
-                idx = cursor_day & self._mask
-                bucket = self._buckets[idx]
-                if not bucket:
-                    self._occ |= 1 << idx
-                bucket.extend(tail)
-            self._count -= self._due_i  # settle consumed entries
-            self._due.clear()
-            self._due_i = 0
-            self._day = day - 1  # _refill scans from day onward
-            idx = day & self._mask
-            bucket = self._buckets[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append((time, seq, item))
-        self._count += 1
-
-    def _refill(self, until: Optional[int]) -> bool:
-        due = self._due
-        self._count -= self._due_i  # settle consumed entries
-        due.clear()
-        self._due_i = 0
-        if self._count <= 0:
-            self._occ = 0  # ring is empty: drop any stale bits
-            return False
-        shift = self._shift
-        mask = self._mask
-        buckets = self._buckets
-        lap = mask + 1
-        day = self._day
-        occ = self._occ
-        # Jump-to-min trigger: once the candidate day advances a full
-        # lap past this point without a match, every occupied bucket
-        # was probed once and holds only far-future entries.
-        wrapped = day + lap
-        while True:
-            # Next candidate: the first occupied ring slot strictly
-            # after the current day (occupancy rotated so the slot
-            # after `day` becomes bit 0; lowest set bit = distance).
-            idx = (day + 1) & mask
-            spun = (occ >> idx) | ((occ & ((1 << idx) - 1)) << (lap - idx))
-            if not spun:
-                # No occupancy bits at all (can only be stale-clear
-                # racing _count bookkeeping): fall back to the jump.
-                day = min(e[0] >> shift
-                          for b in buckets for e in b) - 1
-                wrapped = day + lap
-                continue
-            day += 1 + (spun & -spun).bit_length() - 1
-            if until is not None and (day << shift) > until:
-                # The next populated day starts beyond the horizon:
-                # leave the ring untouched (and the cursor where it is)
-                # so back-to-back run calls compose.
-                self._occ = occ
-                return False
-            bucket = buckets[day & mask]
-            if bucket:
-                matched = [e for e in bucket if e[0] >> shift == day]
-                if matched:
-                    if len(matched) == len(bucket):
-                        bucket.clear()
-                        occ &= ~(1 << (day & mask))
-                    else:
-                        bucket[:] = [e for e in bucket if e[0] >> shift != day]
-                    matched.sort()
-                    due.extend(matched)
-                    self._day = day
-                    self._occ = occ
-                    return True
-            else:
-                occ &= ~(1 << (day & mask))  # stale bit: clear it
-            if day >= wrapped:
-                # A full dry lap: every stored entry lies at least one
-                # ring span ahead. Jump straight to the earliest day.
-                day = min(e[0] >> shift
-                          for b in buckets for e in b) - 1
-                wrapped = day + lap
-
-    def compact(self) -> None:
-        # Sweep the ring only: the cursor list is at most one day of
-        # entries and the run loop may be indexing into it mid-callback;
-        # its flagged entries drain naturally within the day.
-        removed = 0
-        for idx, bucket in enumerate(self._buckets):
-            if not bucket:
-                continue
-            live = [e for e in bucket if not e[2]._cancelled]
-            if len(live) != len(bucket):
-                removed += len(bucket) - len(live)
-                bucket[:] = live
-                if not live:
-                    self._occ &= ~(1 << idx)
-        self._count -= removed
-        self.cancelled -= removed
-
-    def entries(self) -> Iterator[Entry]:
-        for bucket in self._buckets:
-            yield from bucket
-        yield from self._due[self._due_i:]
-
-
-#: Kernel registry for ``Simulator(kernel=<name>)`` and the CLI.
-KERNELS = {
-    "heap": HeapQueue,
-    "calendar": CalendarQueue,
-}
-
-
-class Simulator:
-    """Deterministic discrete-event simulator with an integer-ns clock.
-
-    ``kernel`` selects the event queue: a name from :data:`KERNELS`
-    (``"heap"``, the default, or ``"calendar"``) or a ready-made
-    :class:`EventQueue` instance (e.g. a re-tuned
-    :class:`CalendarQueue`). Every kernel executes the exact same
-    ``(time, seq)`` event order, so results are bit-identical across
-    kernels -- only the wall clock changes.
-    """
-
-    def __init__(self, kernel: Union[str, EventQueue] = "heap") -> None:
-        if isinstance(kernel, str):
-            try:
-                queue: EventQueue = KERNELS[kernel]()
-            except KeyError:
-                raise SimulationError(
-                    f"unknown kernel {kernel!r}; have {sorted(KERNELS)} "
-                    f"(or pass an EventQueue instance)") from None
-            #: Fast path: the name "heap" (not a HeapQueue instance)
-            #: selects the inlined heap loop below.
-            self._heap: Optional[list] = (
-                queue._heap if kernel == "heap" else None)  # type: ignore[attr-defined]
-        else:
-            queue = kernel
-            self._heap = None
-        self._kq: EventQueue = queue
-        #: Fast path: a registry-built CalendarQueue gets its push logic
-        #: inlined into after()/schedule_many() (no per-event method
-        #: call); instance-passed kernels go through EventQueue.push.
-        self._cal: Optional[CalendarQueue] = (
-            queue if self._heap is None and type(queue) is CalendarQueue
-            else None)
+        #: Lazily-cancelled entries still stored in the heap.
+        self._cancelled = 0
+        self._compact_at = self.COMPACT_MIN
         #: Current simulation time in nanoseconds. A plain attribute
         #: (not a property): hot paths across the stack read the clock
         #: millions of times per run, and a Python-level property getter
         #: costs more than many of those callers' entire bodies. Treat
-        #: as read-only outside the run loops.
+        #: as read-only outside the run loop.
         self.now: int = 0
         self._seq: int = 0
         self._running = False
@@ -531,11 +163,6 @@ class Simulator:
     # Clock
     # ------------------------------------------------------------------
     @property
-    def kernel(self) -> str:
-        """Name of the event-queue kernel driving this simulator."""
-        return self._kq.name
-
-    @property
     def events_processed(self) -> int:
         """Number of events executed so far (for instrumentation)."""
         return self._events_processed
@@ -547,7 +174,7 @@ class Simulator:
         This is the number the telemetry heap-depth samples report too:
         cancelled-but-unswept entries are bookkeeping, not load.
         """
-        return self._kq.live_depth()
+        return len(self._heap) - self._cancelled
 
     def set_telemetry(self, telemetry: Optional[Any]) -> None:
         """Arm (or with ``None`` disarm) a telemetry collector.
@@ -556,6 +183,25 @@ class Simulator:
         ``telemetry.record(label, duration_s, live_depth)``.
         """
         self._telemetry = telemetry
+
+    # ------------------------------------------------------------------
+    # Lazy deletion
+    # ------------------------------------------------------------------
+    def _note_cancel(self) -> None:
+        """Account one freshly-cancelled stored entry; maybe compact."""
+        self._cancelled = cancelled = self._cancelled + 1
+        if cancelled >= self._compact_at and 2 * cancelled >= len(self._heap):
+            self._compact()
+            self._compact_at = max(self.COMPACT_MIN, 2 * self._cancelled + 256)
+
+    def _compact(self) -> None:
+        """Sweep lazily-cancelled entries out of the heap."""
+        heap = self._heap
+        live = [entry for entry in heap if not entry[2]._cancelled]
+        self._cancelled -= len(heap) - len(live)
+        # In place: the run loop holds a reference to the list.
+        heap[:] = live
+        heapq.heapify(heap)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -567,12 +213,8 @@ class Simulator:
                 f"cannot schedule event '{label}' at t={time} before now={self.now}"
             )
         seq = self._seq
-        handle = EventHandle(int(time), seq, callback, label, self._kq)
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (handle.time, seq, handle))
-        else:
-            self._kq.push(handle.time, seq, handle)
+        handle = EventHandle(int(time), seq, callback, label, self)
+        heapq.heappush(self._heap, (handle.time, seq, handle))
         self._seq = seq + 1
         return handle
 
@@ -584,42 +226,16 @@ class Simulator:
         # making this the most-called scheduling entry point.
         seq = self._seq
         time = self.now + int(delay)
-        handle = EventHandle(time, seq, callback, label, self._kq)
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (time, seq, handle))
-        else:
-            cal = self._cal
-            if cal is not None:
-                # Inlined CalendarQueue.push (the calendar-run twin of
-                # the heappush above); the rare rewind case delegates.
-                day = time >> cal._shift
-                if day == cal._day:
-                    insort(cal._due, (time, seq, handle), cal._due_i)
-                    cal._count += 1
-                elif day > cal._day:
-                    idx = day & cal._mask
-                    bucket = cal._buckets[idx]
-                    if not bucket:
-                        cal._occ |= 1 << idx
-                    bucket.append((time, seq, handle))
-                    cal._count += 1
-                else:
-                    cal.push(time, seq, handle)
-            else:
-                self._kq.push(time, seq, handle)
+        handle = EventHandle(time, seq, callback, label, self)
+        heapq.heappush(self._heap, (time, seq, handle))
         self._seq = seq + 1
         return handle
 
     def call_soon(self, callback: Callable[[], None], label: str = "") -> EventHandle:
         """Schedule ``callback`` at the current time (after pending same-time events)."""
         seq = self._seq
-        handle = EventHandle(self.now, seq, callback, label, self._kq)
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (handle.time, seq, handle))
-        else:
-            self._kq.push(handle.time, seq, handle)
+        handle = EventHandle(self.now, seq, callback, label, self)
+        heapq.heappush(self._heap, (handle.time, seq, handle))
         self._seq = seq + 1
         return handle
 
@@ -650,48 +266,10 @@ class Simulator:
                 )
         seq = self._seq
         heap = self._heap
-        cal = self._cal
-        if heap is not None:
-            push = heapq.heappush
-            for time, event in entries:
-                push(heap, (time, seq, event))
-                seq += 1
-        elif cal is not None:
-            # Inlined CalendarQueue.push over the whole batch. The
-            # locals are re-hoisted after a rewind (which restructures
-            # the cursor state); rewinds cannot happen mid-run, only on
-            # pre-run scheduling below an earlier parked cursor.
-            shift = cal._shift
-            cday = cal._day
-            cdue = cal._due
-            cdue_i = cal._due_i
-            buckets = cal._buckets
-            mask = cal._mask
-            fast = 0
-            for time, event in entries:
-                day = time >> shift
-                if day == cday:
-                    insort(cdue, (time, seq, event), cdue_i)
-                    fast += 1
-                elif day > cday:
-                    idx = day & mask
-                    bucket = buckets[idx]
-                    if not bucket:
-                        cal._occ |= 1 << idx
-                    bucket.append((time, seq, event))
-                    fast += 1
-                else:
-                    cal.push(time, seq, event)
-                    cday = cal._day
-                    cdue = cal._due
-                    cdue_i = cal._due_i
-                seq += 1
-            cal._count += fast
-        else:
-            kpush = self._kq.push
-            for time, event in entries:
-                kpush(time, seq, event)
-                seq += 1
+        push = heapq.heappush
+        for time, event in entries:
+            push(heap, (time, seq, event))
+            seq += 1
         self._seq = seq
 
     def schedule_fast(self, time: int, event) -> None:
@@ -709,27 +287,7 @@ class Simulator:
                 f"before now={self.now}"
             )
         seq = self._seq
-        heap = self._heap
-        if heap is not None:
-            heapq.heappush(heap, (time, seq, event))
-        else:
-            cal = self._cal
-            if cal is not None:
-                day = time >> cal._shift
-                if day == cal._day:
-                    insort(cal._due, (time, seq, event), cal._due_i)
-                    cal._count += 1
-                elif day > cal._day:
-                    idx = day & cal._mask
-                    bucket = cal._buckets[idx]
-                    if not bucket:
-                        cal._occ |= 1 << idx
-                    bucket.append((time, seq, event))
-                    cal._count += 1
-                else:
-                    cal.push(time, seq, event)
-            else:
-                self._kq.push(time, seq, event)
+        heapq.heappush(self._heap, (time, seq, event))
         self._seq = seq + 1
 
     # ------------------------------------------------------------------
@@ -738,57 +296,33 @@ class Simulator:
     def step(self) -> bool:
         """Execute the next pending event. Returns False if the queue is empty."""
         heap = self._heap
-        if heap is not None:
-            kq = self._kq
-            while heap:
-                time, _, item = heapq.heappop(heap)
-                if item._cancelled:
-                    kq.cancelled -= 1
-                    continue
-                self.now = time
-                self._dispatch(item)
-                return True
-            return False
-        kq = self._kq
-        while True:
-            due = kq._due
-            i = kq._due_i
-            if i >= len(due):
-                if not kq._refill(None):
-                    return False
-                due = kq._due
-                i = 0
-            entry = due[i]
-            kq._due_i = i + 1
-            item = entry[2]
+        while heap:
+            time, _, item = heapq.heappop(heap)
             if item._cancelled:
-                kq.cancelled -= 1
+                self._cancelled -= 1
                 continue
-            self.now = entry[0]
-            self._dispatch(item)
+            self.now = time
+            # A FastEvent has callback=None at class level and *is* the
+            # callable; an EventHandle carries its callback and must be
+            # marked fired. The attribute probe replaces an isinstance
+            # check on the hot loop.
+            callback = item.callback
+            if callback is None:
+                callback = item
+            else:
+                item._fired = True
+                item.callback = None
+            self._events_processed += 1
+            telemetry = self._telemetry
+            if telemetry is None:
+                callback()
+            else:
+                start = perf_counter()
+                callback()
+                telemetry.record(item.label, perf_counter() - start,
+                                 self.queue_depth)
             return True
-
-    def _dispatch(self, item) -> None:
-        """Execute one popped item (shared by step(); run() inlines this)."""
-        # A FastEvent has callback=None at class level and *is* the
-        # callable; an EventHandle carries its callback and must be
-        # marked fired. The attribute probe replaces an isinstance
-        # check on the hot loop.
-        callback = item.callback
-        if callback is None:
-            callback = item
-        else:
-            item._fired = True
-            item.callback = None
-        self._events_processed += 1
-        telemetry = self._telemetry
-        if telemetry is None:
-            callback()
-        else:
-            start = perf_counter()
-            callback()
-            telemetry.record(item.label, perf_counter() - start,
-                             self._kq.live_depth())
+        return False
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
         """Run events until the queue empties, ``until`` is reached, or
@@ -800,37 +334,34 @@ class Simulator:
         queue beyond ``until`` is left untouched (even lazily-cancelled
         entries stay put until a run actually reaches them).
 
-        The loop bodies inline :meth:`step` (one queue access per event
-        instead of a peek *and* a pop, no method-call overhead): profiling
-        showed the peek-then-delegate pattern costing ~10% of paper-scale
-        runs. Semantics are identical to calling ``step`` in a loop.
+        The loop inlines :meth:`step` (one heap access per event instead
+        of a peek *and* a pop, no method-call overhead); semantics are
+        identical to calling ``step`` in a loop.
         """
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
         try:
-            if self._heap is not None:
-                self._run_heap(until, max_events)
-            elif self._cal is not None:
-                self._run_calendar(until, max_events)
-            else:
-                self._run_drain(until, max_events)
+            self._loop(until, max_events)
         finally:
             self._running = False
         if until is not None and self.now < until:
             self.now = until
         return self.now
 
-    def _run_heap(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The inlined hot loop for the named ``"heap"`` kernel."""
+    def _loop(self, until: Optional[int], max_events: Optional[int]) -> None:
+        """The inlined hot loop behind :meth:`run`."""
         executed = 0
         queue = self._heap
-        kq = self._kq
         heappop = heapq.heappop
         horizon = until if until is not None else _FOREVER
         limit = max_events if max_events is not None else _FOREVER
         telemetry = self._telemetry
         if telemetry is not None:
+            # Hoisted telemetry state: per-event stores collapse to two
+            # dict/list ops; the global counters are settled after the
+            # loop. ``sample_in`` counts down to the next heap-depth
+            # sample so the hot path pays no modulo.
             label_stats = telemetry._label_stats
             interval = telemetry.heap_sample_interval
             sample_in = interval - telemetry.events % interval
@@ -844,7 +375,7 @@ class Simulator:
             item = entry[2]
             if item._cancelled:
                 heappop(queue)
-                kq.cancelled -= 1
+                self._cancelled -= 1
                 continue
             if executed >= limit:
                 break
@@ -872,142 +403,13 @@ class Simulator:
                 sample_in -= 1
                 if not sample_in:
                     sample_in = interval
-                    samples_append(len(queue) - kq.cancelled)
+                    samples_append(len(queue) - self._cancelled)
             executed += 1
         self._events_processed += executed
         if telemetry is not None:
             telemetry.events += executed
-            telemetry._last_heap_depth = len(queue) - kq.cancelled
-
-    def _run_calendar(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The inlined hot loop for the named ``"calendar"`` kernel.
-
-        Identical semantics to :meth:`_run_drain`, specialized: the
-        ``until``/``max_events`` guards collapse to plain integer
-        compares against sentinels, consumption is one cursor store per
-        event (``_refill`` settles ``_count``), and the telemetry
-        bookkeeping is inlined.
-        """
-        executed = 0
-        cal = self._cal
-        refill = cal._refill
-        due = cal._due
-        i = cal._due_i
-        horizon = until if until is not None else _FOREVER
-        limit = max_events if max_events is not None else _FOREVER
-        telemetry = self._telemetry
-        if telemetry is not None:
-            # Hoisted telemetry state: per-event stores collapse to two
-            # dict/list ops; the global counters are settled after the
-            # loop (see below). ``sample_in`` counts down to the next
-            # heap-depth sample so the hot path pays no modulo.
-            label_stats = telemetry._label_stats
-            interval = telemetry.heap_sample_interval
-            sample_in = interval - telemetry.events % interval
-            samples_append = telemetry.heap_samples.append
-        last_wall = perf_counter()
-        while True:
-            if i >= len(due):
-                if not refill(until):
-                    break
-                i = 0
-            time, _seq, item = due[i]
-            if time > horizon:
-                break
-            if item._cancelled:
-                i += 1
-                cal._due_i = i
-                cal.cancelled -= 1
-                continue
-            if executed >= limit:
-                break
-            i += 1
-            cal._due_i = i
-            self.now = time
-            callback = item.callback
-            if callback is None:
-                callback = item
-            else:
-                item._fired = True
-                item.callback = None
-            if telemetry is None:
-                callback()
-            else:
-                callback()
-                now_wall = perf_counter()
-                # Inlined telemetry.record() (same bookkeeping, no call).
-                try:
-                    stats = label_stats[item.label]
-                except KeyError:
-                    stats = label_stats[item.label] = [0, 0.0]
-                stats[0] += 1
-                stats[1] += now_wall - last_wall
-                last_wall = now_wall
-                sample_in -= 1
-                if not sample_in:
-                    sample_in = interval
-                    samples_append(cal._count - i - cal.cancelled)
-            executed += 1
-        self._events_processed += executed
-        if telemetry is not None:
-            telemetry.events += executed
-            telemetry._last_heap_depth = (
-                cal._count - cal._due_i - cal.cancelled)
-
-    def _run_drain(self, until: Optional[int], max_events: Optional[int]) -> None:
-        """The generic drain-protocol loop (calendar and custom kernels).
-
-        The cursor list ``kq._due`` is mutated only in place (refill
-        reuses the list object; same-day pushes ``insort`` at or after
-        the cursor), so the loop's local reference stays valid across
-        callbacks; the cursor index is published to the kernel before
-        each dispatch so a callback's pushes see a consistent boundary.
-        """
-        executed = 0
-        kq = self._kq
-        refill = kq._refill
-        due = kq._due
-        i = kq._due_i
-        last_wall = perf_counter()
-        while True:
-            if i >= len(due):
-                if not refill(until):
-                    break
-                i = 0
-            entry = due[i]
-            time = entry[0]
-            if until is not None and time > until:
-                break
-            item = entry[2]
-            if item._cancelled:
-                i += 1
-                kq._due_i = i
-                kq.cancelled -= 1
-                continue
-            if max_events is not None and executed >= max_events:
-                break
-            i += 1
-            kq._due_i = i
-            self.now = time
-            callback = item.callback
-            if callback is None:
-                callback = item
-            else:
-                item._fired = True
-                item.callback = None
-            self._events_processed += 1
-            telemetry = self._telemetry
-            if telemetry is None:
-                callback()
-            else:
-                callback()
-                now_wall = perf_counter()
-                telemetry.record(item.label, now_wall - last_wall,
-                                 kq._count - i - kq.cancelled)
-                last_wall = now_wall
-            executed += 1
+            telemetry._last_heap_depth = len(queue) - self._cancelled
 
     def pending_count(self) -> int:
         """Number of not-yet-cancelled events in the queue (O(n); tests only)."""
-        return sum(1 for entry in self._kq.entries()
-                   if not entry[2]._cancelled)
+        return sum(1 for entry in self._heap if not entry[2]._cancelled)

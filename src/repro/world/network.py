@@ -175,8 +175,7 @@ class Network:
     traced runs.
     """
 
-    def __init__(self, config: ScenarioConfig, tracer: Optional[Tracer] = None,
-                 kernel: str = "heap"):
+    def __init__(self, config: ScenarioConfig, tracer: Optional[Tracer] = None):
         if config.protocol not in PROTOCOLS:
             raise ValueError(
                 f"unknown protocol {config.protocol!r}; "
@@ -243,7 +242,6 @@ class Network:
             tracer=tracer,
             faults=injector,
             sinr=config.sinr,
-            kernel=kernel,
         )
         tb = self.testbed
         self.oracle: Optional[InvariantOracle] = (
@@ -321,14 +319,6 @@ class Network:
         )
 
 
-def build_network(config: ScenarioConfig, tracer: Optional[Tracer] = None,
-                  kernel: str = "heap") -> Network:
-    """Convenience constructor (the public API entry point).
-
-    ``kernel`` picks the event-queue kernel (``"heap"`` | ``"calendar"``,
-    see :mod:`repro.sim.engine`). It is a runtime knob, not part of
-    :class:`ScenarioConfig`: kernels are bit-identical by contract
-    (enforced by ``tools/kernel_ab.py`` in CI), so the scenario hash --
-    and every recorded result -- is kernel-independent.
-    """
-    return Network(config, tracer=tracer, kernel=kernel)
+def build_network(config: ScenarioConfig, tracer: Optional[Tracer] = None) -> Network:
+    """Convenience constructor (the public API entry point)."""
+    return Network(config, tracer=tracer)

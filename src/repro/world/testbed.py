@@ -49,7 +49,6 @@ class MacTestbed:
         capture_threshold_db: Optional[float] = None,
         faults: Optional["FaultInjector"] = None,
         sinr: Optional["SinrConfig"] = None,
-        kernel: str = "heap",
     ):
         if provider is None:
             if coords is None:
@@ -60,7 +59,7 @@ class MacTestbed:
             raise ValueError("n_nodes is required with a custom provider")
         self.n_nodes = n_nodes
         self.phy = phy
-        self.sim = Simulator(kernel=kernel)
+        self.sim = Simulator()
         self.rngs = RngRegistry(seed)
         #: ``tracer`` overrides the default (e.g. to use a RingBuffer or
         #: JsonlTraceSink backend); otherwise one is built from ``trace``.

@@ -51,15 +51,22 @@ def test_run_bench_aggregates_points():
 
 
 def test_find_baseline_picks_newest(tmp_path):
-    old = tmp_path / "BENCH_aaa.json"
-    new = tmp_path / "BENCH_bbb.json"
-    old.write_text("{}")
-    new.write_text("{}")
-    os.utime(old, (1, 1))
-    os.utime(new, (2, 2))
-    assert bench.find_baseline(str(tmp_path)) == str(new)
+    """The newest baseline is the one ``BASELINE`` names, whatever the
+    file mtimes say: a fresh checkout gives every file the same one."""
+    for rev in ("aaa", "bbb", "ccc"):
+        (tmp_path / f"BENCH_{rev}.json").write_text("{}")
+        os.utime(tmp_path / f"BENCH_{rev}.json", (1, 1))
+    assert bench.find_baseline(str(tmp_path)) is None  # no pointer yet
+    (tmp_path / "BASELINE").write_text("BENCH_bbb.json\n")
+    assert bench.find_baseline(str(tmp_path)) == str(tmp_path / "BENCH_bbb.json")
     assert bench.find_baseline(str(tmp_path / "missing")) is None
-    (tmp_path / "notes.txt").write_text("ignored")
+
+
+def test_committed_baseline_pointer_names_a_committed_report():
+    directory = os.path.join(os.path.dirname(__file__), "..", "..",
+                             "benchmarks")
+    path = bench.find_baseline(directory)
+    assert path is not None and os.path.isfile(path)
 
 
 def test_compare_passes_within_threshold():

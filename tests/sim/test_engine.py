@@ -252,3 +252,143 @@ def test_schedule_many_via_step():
     sim.schedule_many([(10, _Probe(log, "x"))])
     assert sim.step() is True
     assert log == ["x"] and sim.now == 10
+
+
+def test_schedule_fast_and_many_interleave_with_handles():
+    """FastEvent pushes (schedule_fast / schedule_many) share the seq
+    stream with handle scheduling: ties break by overall insertion."""
+    sim = Simulator()
+    log = []
+    sim.at(100, lambda: log.append("handle-a"))
+    sim.schedule_fast(100, _Probe(log, "fast"))
+    sim.schedule_many([(100, _Probe(log, "many-1")),
+                       (100, _Probe(log, "many-2"))])
+    sim.at(100, lambda: log.append("handle-b"))
+    sim.run()
+    assert log == ["handle-a", "fast", "many-1", "many-2", "handle-b"]
+
+
+def test_run_until_does_not_consume_cancelled_beyond_horizon():
+    """A cancelled entry whose firing time is beyond ``until`` must stay
+    in the heap untouched -- back-to-back ``run`` calls compose."""
+    sim = Simulator()
+    fired = []
+    sim.at(10, lambda: fired.append("early"))
+    handle = sim.at(1_000_000, lambda: fired.append("cancelled"))
+    handle.cancel()
+    sim.at(1_000_001, lambda: fired.append("late"))
+    sim.run(until=100)
+    # The cancelled entry was not popped: it is still stored and counted.
+    assert sim._cancelled == 1 and len(sim._heap) == 2
+    assert fired == ["early"]
+    sim.run()
+    assert fired == ["early", "late"]
+    assert sim._cancelled == 0
+
+
+def test_compaction_keeps_survivors_and_order():
+    """Cancelling most of a large batch triggers compaction; the
+    survivors still fire exactly in time order."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.at(i * 1000, lambda i=i: fired.append(i))
+               for i in range(2000)]
+    for i, handle in enumerate(handles):
+        if i % 10:
+            handle.cancel()
+    # Compaction must have pruned the bulk of the cancelled entries.
+    assert sim._cancelled < 1800
+    assert len(sim._heap) < 2000
+    assert sim.queue_depth == 200
+    sim.run()
+    assert fired == [i for i in range(2000) if not i % 10]
+    assert sim._cancelled == 0 and sim.queue_depth == 0
+
+
+def test_compaction_inside_a_callback_keeps_the_run_loop_consistent():
+    """A sweep triggered mid-run rewrites the heap the loop is draining;
+    the loop must keep seeing it (in-place rebuild)."""
+    sim = Simulator()
+    fired = []
+    handles = [sim.at(i * 1000, lambda i=i: fired.append(i))
+               for i in range(1, 2001)]
+
+    def cancel_most():
+        for i, handle in enumerate(handles, start=1):
+            if i % 10:
+                handle.cancel()
+
+    sim.at(0, cancel_most)
+    sim.run()
+    assert fired == [i for i in range(1, 2001) if not i % 10]
+    assert sim._cancelled == 0 and not sim._heap
+
+
+def test_live_depth_matches_pending_during_run():
+    sim = Simulator()
+    depths = []
+    for i in range(10):
+        sim.at(i * 5000, lambda: depths.append(sim.queue_depth))
+    sim.run()
+    assert depths == [9 - i for i in range(10)]
+
+
+def test_telemetry_depth_excludes_cancelled():
+    from repro.sim.telemetry import Telemetry
+
+    sim = Simulator()
+    telemetry = Telemetry(heap_sample_interval=1)
+    telemetry.attach(sim)
+    for i in range(6):
+        sim.at(i * 3000, lambda: None, label="tick")
+    handle = sim.at(50_000, lambda: None)
+    handle.cancel()
+    sim.run()
+    report = telemetry.report(sim)
+    assert report.heap_depth_last == 0
+    # Cancelled entries never count toward sampled depth.
+    assert report.heap_depth_max <= 6
+
+
+def test_max_events_and_resume():
+    sim = Simulator()
+    fired = []
+    for i in range(10):
+        sim.at(i * 1000, lambda i=i: fired.append(i))
+    sim.run(max_events=4)
+    assert fired == list(range(4)) and sim.now == 3000
+    sim.run()
+    assert fired == list(range(10))
+
+
+def test_clock_advances_to_until_on_drain():
+    sim = Simulator()
+    sim.at(5, lambda: None)
+    assert sim.run(until=10**12) == 10**12
+    assert sim.now == 10**12
+
+
+def test_cannot_schedule_before_horizon_after_run_until():
+    """A drained ``run(until=...)`` moves ``now`` to the horizon, so a
+    time between the last event and the horizon is already the past."""
+    sim = Simulator()
+    sim.at(100, lambda: None)
+    sim.run(until=1000)
+    with pytest.raises(SimulationError):
+        sim.at(500, lambda: None)
+    sim.at(1000, lambda: None)
+
+
+def test_same_time_ties_queued_mid_run_fire_after_earlier_ties():
+    """A same-time event scheduled from a handler fires after every
+    same-time event that was already queued, then in insertion order."""
+    sim = Simulator()
+    fired = []
+    for i in range(8):
+        sim.at(100, lambda i=i: fired.append(i))
+    sim.at(100, lambda: sim.after(0, lambda: fired.append("late")), label="spawn")
+    for i in range(8, 12):
+        sim.at(100, lambda i=i: fired.append(i))
+    sim.run()
+    assert fired == list(range(12)) + ["late"]
+    assert sim.now == 100

@@ -1,0 +1,168 @@
+#!/usr/bin/env python
+"""Behaviour fingerprint gate: full-stack runs against committed digests.
+
+Runs each committed scenario once and compares it with its entry in
+``tests/golden/fingerprints.json``. A scenario passes only if it is
+*bit-identical* where it matters:
+
+* every deterministic ``RunSummary`` metric field matches exactly;
+* ``events_processed`` matches (same number of events executed);
+* the **trace stream** matches -- the tracer feeds a streaming SHA-256
+  over the JSONL rendering of every emitted event, so the comparison
+  covers the exact sequence of protocol-level actions (state changes,
+  tx/rx, tones, drops) without holding a million-event trace in memory.
+
+Scenarios:
+
+* ``rmac-40``   -- the committed 40-node paper-scale bench scenario;
+* ``bmmm-40``   -- the same field under the BMMM baseline protocol;
+* ``waypoint-1000`` -- the 1000-node random-waypoint scaling point.
+  Skipped under ``--quick``.
+
+Exit status 0 iff every scenario matches; any mismatch prints the
+drifted fields. A change that alters results on purpose regenerates the
+file with ``--write`` (which also records the Python and numpy versions
+that produced it) and explains the new digests in the same change.
+
+Usage::
+
+    PYTHONPATH=src python tools/fingerprints.py [--quick | --only NAME] [--write]
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import sys
+
+import numpy
+
+from repro.experiments.bench import METRIC_FIELDS
+from repro.sim.trace import TraceBuffer, TraceEvent, Tracer
+from repro.world.network import ScenarioConfig, build_network
+
+GOLDEN = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                      "tests", "golden", "fingerprints.json")
+
+SCENARIOS = {
+    "rmac-40": dict(protocol="rmac", n_nodes=40, width=360.0, height=220.0,
+                    rate_pps=20.0, n_packets=120, seed=1),
+    "bmmm-40": dict(protocol="bmmm", n_nodes=40, width=360.0, height=220.0,
+                    rate_pps=20.0, n_packets=120, seed=3),
+    "waypoint-1000": dict(protocol="rmac", n_nodes=1000, width=1600.0,
+                          height=1000.0, mobile=True, rate_pps=2.0,
+                          n_packets=6, warmup_s=2.0, drain_s=2.0, seed=1),
+}
+
+#: Fingerprint fields compared besides the metrics.
+COUNTERS = ("events", "trace_events", "trace_sha256")
+
+
+class HashBuffer(TraceBuffer):
+    """Streams every trace event into a SHA-256; keeps nothing."""
+
+    def __init__(self) -> None:
+        self._hash = hashlib.sha256()
+        self._count = 0
+
+    def append(self, event: TraceEvent) -> None:
+        self._hash.update(event.to_json().encode())
+        self._hash.update(b"\n")
+        self._count += 1
+
+    def snapshot(self):
+        return []
+
+    def __len__(self) -> int:
+        return self._count
+
+    @property
+    def digest(self) -> str:
+        return self._hash.hexdigest()
+
+
+def run_one(name: str) -> dict:
+    config = ScenarioConfig(**SCENARIOS[name])
+    buffer = HashBuffer()
+    tracer = Tracer(enabled=True, buffer=buffer)
+    network = build_network(config, tracer=tracer)
+    summary = network.run()
+    return {
+        "metrics": {field: getattr(summary, field)
+                    for field in METRIC_FIELDS},
+        "events": network.sim.events_processed,
+        "trace_events": len(buffer),
+        "trace_sha256": buffer.digest,
+    }
+
+
+def _same(a, b) -> bool:
+    # JSON text equality: exact for floats (repr round-trips) and NaN-safe.
+    return json.dumps(a) == json.dumps(b)
+
+
+def compare(name: str, got: dict, want: dict) -> bool:
+    drifted = [(key, want.get(key), got[key]) for key in COUNTERS
+               if not _same(got[key], want.get(key))]
+    drifted += [(f"metrics.{field}", want["metrics"].get(field),
+                 got["metrics"][field]) for field in METRIC_FIELDS
+                if not _same(got["metrics"][field], want["metrics"].get(field))]
+    if drifted:
+        print(f"FAIL {name}: drift in {', '.join(key for key, _, _ in drifted)}")
+        for key, old, new in drifted:
+            print(f"  {key}: committed {old!r} != now {new!r}")
+        return False
+    print(f"ok   {name}: {got['trace_events']} trace events, "
+          f"{got['events']} sim events, sha256 {got['trace_sha256'][:16]}...")
+    return True
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true",
+                        help="skip the 1000-node waypoint scenario")
+    parser.add_argument("--only", choices=sorted(SCENARIOS),
+                        help="run a single scenario")
+    parser.add_argument("--write", action="store_true",
+                        help="regenerate the committed fingerprints of the "
+                             "selected scenarios instead of checking them")
+    args = parser.parse_args(argv)
+    names = [args.only] if args.only else list(SCENARIOS)
+    if args.quick and not args.only:
+        names.remove("waypoint-1000")
+    golden = {"python": None, "numpy": None, "scenarios": {}}
+    if os.path.exists(GOLDEN):
+        with open(GOLDEN) as fh:
+            golden = json.load(fh)
+    if args.write:
+        golden["python"] = platform.python_version()
+        golden["numpy"] = numpy.__version__
+        for name in names:
+            golden["scenarios"][name] = run_one(name)
+            print(f"wrote {name}")
+        os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
+        with open(GOLDEN, "w") as fh:
+            json.dump(golden, fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        return 0
+    missing = [name for name in names if name not in golden["scenarios"]]
+    if missing:
+        print(f"no committed fingerprint for {', '.join(missing)}; "
+              f"run with --write")
+        return 1
+    failures = [name for name in names
+                if not compare(name, run_one(name), golden["scenarios"][name])]
+    if failures:
+        print(f"fingerprints FAILED: {', '.join(failures)} (committed with "
+              f"python {golden['python']}, numpy {golden['numpy']}; this run "
+              f"python {platform.python_version()}, numpy {numpy.__version__})")
+        return 1
+    print("fingerprints: all scenarios bit-identical")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -16,6 +16,10 @@ Scenarios:
 
 * ``rmac-40``   -- the committed 40-node paper-scale bench scenario;
 * ``bmmm-40``   -- the same field under the BMMM baseline protocol;
+* ``waypoint-40`` -- the same field with random-waypoint mobility, so
+  link tables are rebuilt per position bucket at a small node count;
+* ``sinr-40``   -- the same field, static, under the SINR shadowing
+  profile (power-domain link tables);
 * ``waypoint-1000`` -- the 1000-node random-waypoint scaling point.
   Skipped under ``--quick``.
 
@@ -41,6 +45,7 @@ import sys
 import numpy
 
 from repro.experiments.bench import METRIC_FIELDS
+from repro.experiments.scenarios import sinr_preset
 from repro.sim.trace import TraceBuffer, TraceEvent, Tracer
 from repro.world.network import ScenarioConfig, build_network
 
@@ -52,6 +57,12 @@ SCENARIOS = {
                     rate_pps=20.0, n_packets=120, seed=1),
     "bmmm-40": dict(protocol="bmmm", n_nodes=40, width=360.0, height=220.0,
                     rate_pps=20.0, n_packets=120, seed=3),
+    "waypoint-40": dict(protocol="rmac", n_nodes=40, width=360.0,
+                        height=220.0, mobile=True, rate_pps=20.0,
+                        n_packets=60, seed=2),
+    "sinr-40": dict(protocol="rmac", n_nodes=40, width=360.0, height=220.0,
+                    rate_pps=20.0, n_packets=60, seed=4,
+                    sinr=sinr_preset("shadowing")),
     "waypoint-1000": dict(protocol="rmac", n_nodes=1000, width=1600.0,
                           height=1000.0, mobile=True, rate_pps=2.0,
                           n_packets=6, warmup_s=2.0, drain_s=2.0, seed=1),

@@ -87,10 +87,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         from repro.sim.trace import JsonlTraceSink, Tracer
 
         tracer = Tracer(enabled=True, buffer=JsonlTraceSink(args.trace_jsonl))
+    try:
+        network = build_network(config, tracer=tracer)
+    except ValueError as exc:
+        # Scenario input the world cannot be built from (no nodes, a
+        # non-positive rate or field size): a usage error, not a crash.
+        print(f"repro: error: {exc}", file=sys.stderr)
+        return 2
     # Open the telemetry output up front so a bad path fails before the
     # run, not after minutes of simulation.
     telemetry_fh = open(args.telemetry, "w") if args.telemetry else None
-    network = build_network(config, tracer=tracer)
     summary = network.run()
     if telemetry_fh is not None:
         import json
@@ -523,7 +529,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="point set to run: smoke (one ~1s run, the CI "
                             "gate), full (the committed 40-node sweep, the "
                             "default), or large (200/500/1000-node scaling "
-                            "tier with grid-vs-brute comparisons)")
+                            "tier plus link-table rebuild timings)")
     bench.add_argument("--smoke", action="store_true",
                        help="alias for --tier smoke; what CI executes on "
                             "every push")

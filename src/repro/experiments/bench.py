@@ -25,16 +25,11 @@ Three tiers:
   regression threshold (wall-clock on shared runners is noisy), which
   also fails the build if SINR work slows the threshold path.
 * **large** -- the scaling tier (200/500/1000 nodes, static + random
-  waypoint) exercising the spatial-grid link path, a ``sinr-500``
-  point measuring accumulated-power reception under shadowing at 500
-  nodes, plus
-  ``neighbor-rebuild`` microbenchmark points that time whole-bucket
-  link-table rebuilds on the grid path against the brute-force
-  per-sender path on identical trajectories (asserting the tables are
-  exactly equal first). The 1000-node waypoint point additionally
-  re-runs the full stack with indexing forced to brute and asserts
-  bit-identical ``RunSummary`` metrics -- the "measurably faster,
-  bit-identical results" contract, measured.
+  waypoint), a ``sinr-500`` point measuring accumulated-power
+  reception under shadowing at 500 nodes, plus ``neighbor-rebuild``
+  microbenchmark points that time whole-bucket link-table rebuilds of
+  the spatial grid on random-waypoint trajectories, free of event-loop
+  dilution.
 
 The smoke/full sweeps are **static-only** (no mobility) on purpose:
 static scenarios exercise the frozen-link fast path and keep the
@@ -42,9 +37,7 @@ per-run ``metrics`` block bit-identical across machines and across
 mobility-model changes, so the baseline doubles as a determinism
 regression check -- same seeds must produce the same delivery/
 retransmission/delay numbers, or something changed protocol behavior
-rather than just speed. (At 12-40 nodes they also stay below the
-``auto`` grid threshold, so they time the original brute path
-unchanged.)
+rather than just speed.
 """
 
 from __future__ import annotations
@@ -139,22 +132,19 @@ def _rebuild_point(n_nodes: int, epochs: int, seed: int = 1) -> dict:
             "epochs": epochs}
 
 
-#: The scaling tier. Full-stack points run with the default ``auto``
-#: indexing (grid at these sizes); ``compare_brute`` re-runs the same
-#: scenario with indexing forced to brute and asserts bit-identical
-#: metrics. ``neighbor-rebuild`` points time the link-table layer alone
-#: (grid vs brute) -- the apples-to-apples number for the spatial index
-#: itself, free of event-loop dilution.
+#: The scaling tier. ``neighbor-rebuild`` points time the link-table
+#: layer alone -- the number for the spatial index itself, free of
+#: event-loop dilution.
 LARGE_POINTS: List[dict] = [
     _large_point(200, False, 1),
     _large_point(200, True, 1),
     _large_point(500, False, 1),
     _large_point(500, True, 1),
     _large_point(1000, False, 1),
-    # The headline point, with the brute-indexing comparison. Best-of-3
-    # like the gated smoke points: a single sample of a 5-second run on
-    # a shared machine is too noisy for a headline number.
-    _large_point(1000, True, 1, repeat=3, compare_brute=True),
+    # The headline point. Best-of-3 like the gated smoke points: a
+    # single sample of a 5-second run on a shared machine is too noisy
+    # for a headline number.
+    _large_point(1000, True, 1, repeat=3),
     # SINR scaling point: 500 static nodes under lognormal shadowing
     # with interference accounting on -- the nightly number for "what
     # does accumulated-power reception cost at scale". Crafted by hand
@@ -256,46 +246,20 @@ def run_point(point: dict) -> dict:
                 )
             if (record["wall_s"] or 0.0) < (best["wall_s"] or 0.0):
                 best = record
-    if point.get("compare_brute"):
-        # Same scenario, same seeds, indexing forced to brute on the
-        # built network (ScenarioConfig -- and so every config_hash --
-        # is untouched). The metrics must match bit-for-bit; the wall
-        # clocks are the honest end-to-end grid-vs-brute comparison.
-        config = ScenarioConfig(
-            protocol=point["protocol"],
-            seed=point["seed"],
-            collect_telemetry=True,
-            **point["config"],
-        )
-        network = build_network(config)
-        network.testbed.neighbors.force_indexing("brute")
-        brute = network.run()
-        brute_metrics = {name: getattr(brute, name) for name in METRIC_FIELDS}
-        if brute_metrics != best["metrics"]:
-            drifted = sorted(name for name in METRIC_FIELDS
-                             if brute_metrics[name] != best["metrics"][name])
-            raise RuntimeError(
-                f"grid vs brute metrics diverged on {point.get('label')}: "
-                f"{', '.join(drifted)}"
-            )
-        best["brute_eps"] = brute.events_per_sec
-        if brute.events_per_sec and best["eps"]:
-            best["e2e_speedup_vs_brute"] = best["eps"] / brute.events_per_sec
     return best
 
 
 def _run_rebuild_point(point: dict) -> dict:
-    """Time whole-bucket link-table rebuilds: grid vs brute, same world.
+    """Time whole-bucket link-table rebuilds on one mobile world.
 
     Places ``n_nodes`` nodes, attaches random-waypoint mobility, then
     queries every sender's links across ``epochs`` consecutive mobility
-    buckets -- the dense access pattern under which the grid path runs
+    buckets -- the dense access pattern under which the service runs
     its batched whole-bucket rebuilds (the adaptive first epoch, served
     lazily before the density upgrade kicks in, is included in the timed
-    pass). Waypoint legs are materialized up front so neither timed pass
-    pays them, and the two paths' tables are asserted exactly equal
-    (first and last epoch) before anything is timed. ``speedup`` is the
-    recorded grid-over-brute link-evaluation throughput ratio.
+    pass). Waypoint legs are materialized up front so the timed passes
+    do not pay them. ``links_per_sec_grid`` is the recorded link
+    evaluation throughput.
     """
     import random as _random
     from time import perf_counter
@@ -327,36 +291,19 @@ def _run_rebuild_point(point: dict) -> dict:
         provider.positions(t)
     model = UnitDiskModel(75.0)
 
-    check_grid = NeighborService(provider, model, cache_window=window,
-                                 indexing="grid")
-    check_brute = NeighborService(provider, model, cache_window=window,
-                                  indexing="brute")
-    for t in (times[0], times[-1]):
-        for sender in range(n):
-            if check_grid.links_from(sender, t) != check_brute.links_from(sender, t):
-                raise RuntimeError(
-                    f"grid vs brute link tables diverged at n={n}, t={t}")
-
-    # Interleaved best-of-5 (fresh service each repeat, same min-wall
-    # precedent as the smoke point): shared hosts show multi-second CPU
-    # steal windows, so alternating the passes lets both mins sample the
-    # same quiet periods instead of one path eating a noisy stretch.
-    walls = {"brute": float("inf"), "grid": float("inf")}
-    served = {}
+    # Best-of-5, a fresh service each repeat (same min-wall precedent as
+    # the smoke point): the minimum is the least-noisy estimator.
+    wall = float("inf")
+    links = 0
     for _ in range(5):
-        for mode in ("brute", "grid"):
-            service = NeighborService(provider, model, cache_window=window,
-                                      indexing=mode)
-            count = 0
-            start = perf_counter()
-            for t in times:
-                for sender in range(n):
-                    count += len(service.links_from(sender, t))
-            walls[mode] = min(walls[mode], perf_counter() - start)
-            served[mode] = count
-    if served["grid"] != served["brute"]:
-        raise RuntimeError("grid vs brute served different link counts")
-    links = served["grid"]
+        service = NeighborService(provider, model, cache_window=window)
+        count = 0
+        start = perf_counter()
+        for t in times:
+            for sender in range(n):
+                count += len(service.links_from(sender, t))
+        wall = min(wall, perf_counter() - start)
+        links = count
     return {
         "mode": point["mode"],
         "protocol": point["protocol"],
@@ -371,11 +318,8 @@ def _run_rebuild_point(point: dict) -> dict:
         "wall_s": 0.0,
         "eps": None,
         "links_built": links,
-        "brute_wall_s": walls["brute"],
-        "grid_wall_s": walls["grid"],
-        "links_per_sec_brute": links / walls["brute"] if walls["brute"] > 0 else 0.0,
-        "links_per_sec_grid": links / walls["grid"] if walls["grid"] > 0 else 0.0,
-        "speedup": (walls["brute"] / walls["grid"]) if walls["grid"] > 0 else 0.0,
+        "grid_wall_s": wall,
+        "links_per_sec_grid": links / wall if wall > 0 else 0.0,
         "metrics": {"links_built": links},
     }
 
@@ -586,8 +530,7 @@ def render_point(point: dict) -> str:
         return (
             f"{_point_label(point)}: {point['links_built']} links x "
             f"{point['epochs']} epochs, grid "
-            f"{point['links_per_sec_grid']:,.0f} links/s vs brute "
-            f"{point['links_per_sec_brute']:,.0f} ({point['speedup']:.1f}x)"
+            f"{point['links_per_sec_grid']:,.0f} links/s"
         )
     if point.get("kind") == "kernel-micro":
         return (f"{_point_label(point)}: {point['events']} synthetic ev @ "
@@ -597,9 +540,6 @@ def render_point(point: dict) -> str:
     subsystems = ", ".join(f"{name}={secs * 1e3:.0f}ms" for name, secs in top)
     line = (f"{_point_label(point)}: "
             f"{point['events']} ev @ {point['eps']:,.0f}/s")
-    if point.get("brute_eps"):
-        line += (f" (brute rerun {point['brute_eps']:,.0f}/s, "
-                 f"{point.get('e2e_speedup_vs_brute', 0.0):.2f}x e2e)")
     if subsystems:
         line += f"  [{subsystems}]"
     return line
@@ -609,8 +549,7 @@ def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
     """A GitHub-flavored markdown comparison table (for CI job summaries).
 
     One row per point: current events/sec against the committed
-    baseline's. Rebuild points report link evaluations/sec and their
-    grid-over-brute speedup instead.
+    baseline's. Rebuild points report link evaluations/sec instead.
     """
     by_key: Dict[tuple, dict] = {
         _point_key(p): p for p in (baseline or {}).get("points", [])
@@ -624,7 +563,7 @@ def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
             base_eps = (base or {}).get("links_per_sec_grid")
             base_cell = f"{base_eps:,.0f} links/s" if base_eps else "--"
             ratio = (f"{point['links_per_sec_grid'] / base_eps:.2f}x"
-                     if base_eps else f"{point['speedup']:.1f}x vs brute")
+                     if base_eps else "--")
             lines.append(f"| {_point_label(point)} | {current} "
                          f"| {base_cell} | {ratio} |")
             continue

@@ -14,28 +14,24 @@ computation over a position provider:
   and positions can never disagree mid-window. Set ``cache_window=0``
   for exact per-call evaluation.
 
-Two interchangeable link-computation paths:
+Links are found through a :class:`~repro.phy.grid.SpatialGrid` (cell
+size = the model's ``max_range()``), which prunes candidates to the
+3 x 3 cell neighborhoods. Two flavors share it:
 
-* **brute** -- the reference: one O(n) numpy distance pass per sender,
-  then a Python loop over the in-range candidates
-  (:meth:`NeighborService._compute_links`). Computed lazily, one sender
-  at a time, on cache miss.
-* **grid** -- a :class:`~repro.phy.grid.SpatialGrid` (cell size = the
-  model's ``max_range()``) prunes candidates to the 3 x 3 cell
-  neighborhoods. Dense buckets (>=25% of senders queried, judged from
-  the previous bucket's traffic or detected mid-bucket) rebuild *all*
-  link tables in one batched numpy pass: distances, ``carrier_sensed``/
-  ``in_range`` masks, received powers and propagation delays are
-  array-evaluated at once. Sparse buckets are served sender by sender
+* **batched** -- static worlds, and dense mobile buckets (>=25% of
+  senders queried, judged from the previous bucket's traffic or
+  detected mid-bucket), rebuild *all* link tables in one numpy pass:
+  distances, ``carrier_sensed``/``in_range`` masks, received powers and
+  propagation delays are array-evaluated at once;
+* **pruned** -- sparse mobile buckets are served sender by sender
   against the bucket's grid, so light traffic never pays for tables
-  nobody asks for. Both flavors are bit-identical to brute by
-  construction (same float64 operations element-wise, same candidate
-  ordering); the property suite in ``tests/properties`` enforces it.
+  nobody asks for.
 
-``indexing="auto"`` (the default) picks brute below
-:data:`GRID_THRESHOLD` nodes -- at small n the batched rebuild has no
-advantage and the committed benchmark baselines exercise the original
-path byte-for-byte -- and grid at or above it.
+Both flavors are bit-identical to a per-sender brute-force distance
+pass (same float64 operations element-wise, same ascending-node
+candidate order). That brute-force builder lives in the test suite as
+the reference (``tests/phy/brute_links.py``); the property suite in
+``tests/properties`` checks both flavors against it.
 
 **Power mode** (:class:`LinkPowerSpec`, used by the SINR subsystem):
 instead of the model's boolean range predicates, links are kept down to
@@ -48,8 +44,8 @@ Links below carrier sense but above the cutoff are *interference-only*
 never raise carrier sense or busy-tone detection. The grid cell size
 becomes the spec's ``prune_range`` (the interference radius), not the
 model's ``max_range()``. The scalar and batched power paths share the
-same float64 operations, so grid == brute stays bit-exact in power mode
-too (property-tested).
+same float64 operations, so they stay bit-exact against the reference
+in power mode too (property-tested).
 """
 
 from __future__ import annotations
@@ -65,11 +61,6 @@ from repro.phy.propagation import PropagationModel
 
 #: Speed of light in meters per nanosecond.
 _LIGHT_SPEED_M_PER_NS = 0.299792458
-
-#: ``indexing="auto"`` switches from brute to grid at this node count.
-GRID_THRESHOLD = 64
-
-INDEXING_MODES = ("auto", "grid", "brute")
 
 
 def propagation_delay_ns(distance_m: float) -> int:
@@ -118,10 +109,11 @@ class Link(NamedTuple):
     node: int
     delay_ns: int
     in_rx_range: bool  # False => carrier-sensed only (cannot decode)
-    #: Received power at the node (dBm) when the propagation model can
-    #: compute it (LogDistanceModel); None for pure unit-disk models.
-    #: Feeds the optional capture-effect collision resolution and the
-    #: SINR interference accumulation.
+    #: Received power at the node (dBm): the model's path-loss power
+    #: (:data:`~repro.phy.propagation.IN_RANGE_POWER_DBM` for
+    #: UnitDiskModel), or the link power in power mode. Feeds the
+    #: optional capture-effect collision resolution and the SINR
+    #: interference accumulation.
     power_dbm: Optional[float] = None
     #: False => interference-only: the node's radio cannot sense this
     #: transmission (no carrier sense, no busy-tone detection), but its
@@ -184,9 +176,9 @@ class LinkPowerSpec:
     ``keep_threshold_dbm`` (the interference cutoff), decodes iff it
     reaches ``rx_threshold_dbm``, and is carrier-sensed
     (:attr:`Link.sensed`) iff it reaches ``cs_threshold_dbm``.
-    ``prune_range`` bounds the spatial search (grid cell size / brute
-    candidate radius): the distance beyond which no link -- even with
-    maximal shadowing and radio offsets -- can reach the cutoff.
+    ``prune_range`` bounds the spatial search (the grid cell size): the
+    distance beyond which no link -- even with maximal shadowing and
+    radio offsets -- can reach the cutoff.
     """
 
     rx_threshold_dbm: float
@@ -216,8 +208,8 @@ class NeighborCounters:
 
     ``table_hits``/``table_misses`` count :meth:`NeighborService.table_from`
     calls served from a cached table vs ones that (re)computed;
-    ``table_rebuilds`` counts whole-bucket batched rebuilds on the grid
-    path; ``links_built`` counts Link objects constructed;
+    ``table_rebuilds`` counts whole-bucket batched rebuilds (including
+    the static freeze); ``links_built`` counts Link objects constructed;
     ``grid_cells``/``grid_pairs`` accumulate occupied cells and candidate
     pairs touched per rebuild; ``pos_cache_*`` count the mobility
     position-snapshot cache.
@@ -249,35 +241,24 @@ class NeighborService:
         provider: PositionProvider,
         model: PropagationModel,
         cache_window: int = 50_000_000,
-        indexing: str = "auto",
-        grid_threshold: int = GRID_THRESHOLD,
         power_spec: Optional[LinkPowerSpec] = None,
     ):
-        if indexing not in INDEXING_MODES:
-            raise ValueError(
-                f"indexing must be one of {INDEXING_MODES}, got {indexing!r}")
         self._provider = provider
         self._model = model
         self._power_spec = power_spec
         self._static = provider.is_static()
         self._cache_window = int(cache_window)
-        self._indexing = indexing
-        self._grid_threshold = int(grid_threshold)
-        #: Resolved lazily on first use (needs the node count): True =>
-        #: whole-bucket batched rebuilds, False => lazy per-sender brute.
-        self._grid_active: Optional[bool] = None
-        #: Static scenarios (either path) and mobile grid scenarios: one
-        #: LinkTable per sender, indexed by sender id.
+        #: The latest batched rebuild: one LinkTable per sender, indexed
+        #: by sender id (frozen for good in static scenarios).
         self._tables: Optional[List[LinkTable]] = None
-        #: Bucket epoch ``_tables`` was built for (mobile grid path).
+        #: Bucket epoch ``_tables`` was built for (mobile scenarios).
         self._tables_bucket: int = -1
-        #: Mobile brute path and sparse grid buckets: sender -> (position
-        #: bucket, table). An entry is valid iff its bucket equals the
-        #: bucket of the query time -- one integer comparison, and links
-        #: can never disagree with what ``positions_at`` returns for the
-        #: same time.
+        #: Sparse mobile buckets: sender -> (position bucket, table). An
+        #: entry is valid iff its bucket equals the bucket of the query
+        #: time -- one integer comparison, and links can never disagree
+        #: with what ``positions_at`` returns for the same time.
         self._cache: Dict[int, Tuple[int, LinkTable]] = {}
-        #: Mobile grid path: bucket epoch the density bookkeeping below
+        #: Mobile scenarios: bucket epoch the density bookkeeping below
         #: refers to, per-sender queried-this-bucket flags, and the
         #: distinct-sender count. The previous bucket's density decides
         #: whether the next one rebuilds eagerly or serves lazily.
@@ -324,43 +305,10 @@ class NeighborService:
             power = power + float(spec.rx_gain_dbm[node])  # type: ignore[index]
         return power
 
-    @property
-    def indexing(self) -> str:
-        """The configured indexing mode (``auto``/``grid``/``brute``)."""
-        return self._indexing
-
-    def force_indexing(self, mode: str) -> None:
-        """Switch indexing mode and drop caches (benchmark/test hook).
-
-        Lets a benchmark run the same built network on both paths without
-        touching :class:`~repro.world.network.ScenarioConfig` (and hence
-        without perturbing any ``config_hash``).
-        """
-        if mode not in INDEXING_MODES:
-            raise ValueError(
-                f"indexing must be one of {INDEXING_MODES}, got {mode!r}")
-        self._indexing = mode
-        self._grid_active = None
-        self._tables = None
-        self._tables_bucket = -1
-        self._cache.clear()
-        self._grid_bucket = -1
-        self._grid_seen = 0
-        self._grid_seen_flags = None
-        self._lazy_grid = None
-
     def _bucket(self, time_ns: int) -> int:
         """The position-bucket epoch ``time_ns`` falls into."""
         window = self._cache_window
         return time_ns if window == 0 else time_ns - time_ns % window
-
-    def _use_grid(self, n: int) -> bool:
-        mode = self._indexing
-        if mode == "grid":
-            return True
-        if mode == "brute":
-            return False
-        return n >= self._grid_threshold
 
     def positions_at(self, time_ns: int) -> np.ndarray:
         """Positions at ``time_ns`` (cached within the mobility window)."""
@@ -406,7 +354,7 @@ class NeighborService:
         providers key caching on the position-bucket epoch, so cached
         links are exactly the ones implied by ``positions_at`` at the
         same time -- never a stale set left over from the previous
-        bucket. The grid path adapts to query density per bucket: when
+        bucket. Mobile providers adapt to query density per bucket: when
         the previous bucket queried >=25% of the senders (or this one
         does, mid-bucket), *all* tables are rebuilt in one batched numpy
         pass; sparse buckets are served sender by sender against the
@@ -417,93 +365,67 @@ class NeighborService:
         if self._static:
             tables = self._tables
             if tables is None:
-                tables = self._freeze()
+                tables = self._tables = self._build_tables(self.positions_at(0))
             if not 0 <= sender < len(tables):
                 raise ValueError(f"unknown sender id {sender}")
             counters.table_hits += 1
             return tables[sender]
         bucket = self._bucket(time_ns)
-        grid = self._grid_active
-        if grid is None:
-            grid = self._grid_active = self._use_grid(len(self.positions_at(time_ns)))
-        if grid:
-            flags = self._grid_seen_flags
-            rebuilt = False
-            if bucket != self._grid_bucket:
-                pos = self.positions_at(time_ns)
-                n = len(pos)
-                dense = self._grid_seen * 4 >= n
-                self._grid_bucket = bucket
-                self._grid_seen = 0
-                flags = self._grid_seen_flags = bytearray(n)
-                self._lazy_grid = None
-                if dense:
-                    counters.table_misses += 1
-                    self._tables = self._build_tables(pos)
-                    self._tables_bucket = bucket
-                    rebuilt = True
-            if not 0 <= sender < len(flags):  # type: ignore[arg-type]
-                raise ValueError(f"unknown sender id {sender}")
-            if not flags[sender]:  # type: ignore[index]
-                flags[sender] = 1  # type: ignore[index]
-                self._grid_seen += 1
-            if bucket == self._tables_bucket:
-                if not rebuilt:
-                    counters.table_hits += 1
-                return self._tables[sender]  # type: ignore[index]
-            cached = self._cache.get(sender)
-            if cached is not None and cached[0] == bucket:
-                counters.table_hits += 1
-                return cached[1]
-            counters.table_misses += 1
-            if self._grid_seen * 4 >= len(flags):  # type: ignore[arg-type]
-                # The bucket turned dense mid-flight: one batched rebuild
-                # now beats continuing sender by sender.
-                tables = self._build_tables(self.positions_at(time_ns))
-                self._tables = tables
+        flags = self._grid_seen_flags
+        rebuilt = False
+        if bucket != self._grid_bucket:
+            pos = self.positions_at(time_ns)
+            n = len(pos)
+            dense = self._grid_seen * 4 >= n
+            self._grid_bucket = bucket
+            self._grid_seen = 0
+            flags = self._grid_seen_flags = bytearray(n)
+            self._lazy_grid = None
+            if dense:
+                counters.table_misses += 1
+                self._tables = self._build_tables(pos)
                 self._tables_bucket = bucket
-                return tables[sender]
-            lazy = self._lazy_grid
-            if lazy is None:
-                lazy = self._lazy_grid = SpatialGrid(
-                    self.positions_at(time_ns), self._search_range())
-                counters.grid_cells += lazy.n_cells
-            table = LinkTable(self._compute_links_pruned(sender, time_ns, lazy))
-            counters.links_built += len(table.links)
-            self._cache[sender] = (bucket, table)
-            return table
+                rebuilt = True
+        if not 0 <= sender < len(flags):  # type: ignore[arg-type]
+            raise ValueError(f"unknown sender id {sender}")
+        if not flags[sender]:  # type: ignore[index]
+            flags[sender] = 1  # type: ignore[index]
+            self._grid_seen += 1
+        if bucket == self._tables_bucket:
+            if not rebuilt:
+                counters.table_hits += 1
+            return self._tables[sender]  # type: ignore[index]
         cached = self._cache.get(sender)
         if cached is not None and cached[0] == bucket:
             counters.table_hits += 1
             return cached[1]
         counters.table_misses += 1
-        table = LinkTable(self._compute_links(sender, time_ns))
+        if self._grid_seen * 4 >= len(flags):  # type: ignore[arg-type]
+            # The bucket turned dense mid-flight: one batched rebuild
+            # now beats continuing sender by sender.
+            tables = self._build_tables(self.positions_at(time_ns))
+            self._tables = tables
+            self._tables_bucket = bucket
+            return tables[sender]
+        lazy = self._lazy_grid
+        if lazy is None:
+            lazy = self._lazy_grid = SpatialGrid(
+                self.positions_at(time_ns), self._search_range())
+            counters.grid_cells += lazy.n_cells
+        table = LinkTable(self._compute_links_pruned(sender, time_ns, lazy))
         counters.links_built += len(table.links)
         self._cache[sender] = (bucket, table)
         return table
 
-    def _freeze(self) -> List[LinkTable]:
-        """Precompute every sender's link table (static providers only)."""
-        pos = self.positions_at(0)
-        n = len(pos)
-        if self._grid_active is None:
-            self._grid_active = self._use_grid(n)
-        if self._grid_active:
-            tables = self._build_tables(pos)
-        else:
-            tables = [LinkTable(self._compute_links(sender, 0)) for sender in range(n)]
-            self.counters.links_built += sum(len(t.links) for t in tables)
-        self._tables = tables
-        return tables
-
     def _build_tables(self, pos: np.ndarray) -> List[LinkTable]:
-        """All senders' link tables in one batched numpy pass (grid path).
+        """All senders' link tables in one batched numpy pass.
 
-        Exactness contract vs :meth:`_compute_links`: identical float64
-        element-wise operations (subtract / ``np.hypot`` / divide /
-        ``np.rint`` == banker's ``round``), the model's ``*_batch``
-        predicates agree bit-for-bit with their scalar forms, and the
-        lexsort reproduces brute's per-sender ascending-node order.
+        Exactness contract vs the scalar :meth:`_compute_links_pruned`:
+        identical float64 element-wise operations (subtract /
+        ``np.hypot`` / divide / ``np.rint`` == banker's ``round``), the
+        model's ``*_batch`` predicates agree bit-for-bit with their
+        scalar forms, and the lexsort yields each sender's links in
+        ascending-node order.
         """
         model = self._model
         spec = self._power_spec
@@ -546,11 +468,7 @@ class NeighborService:
             order = np.lexsort((cands, senders))
             senders, cands, dists = senders[order], cands[order], dists[order]
             in_rx = model.in_range_batch(dists)
-            power_batch = getattr(model, "received_power_dbm_batch", None)
-            if power_batch is None:
-                powers_list = repeat(None)
-            else:
-                powers_list = power_batch(dists).tolist()
+            powers_list = model.received_power_dbm_batch(dists).tolist()
             sensed_list = repeat(True)
         delays = np.rint(dists / _LIGHT_SPEED_M_PER_NS)
         np.maximum(delays, 1.0, out=delays)
@@ -560,7 +478,7 @@ class NeighborService:
         # tuple.__new__ skips the namedtuple __new__ wrapper (~2x cheaper
         # per link; construction dominates the rebuild at large n). The
         # zip always supplies all five fields, so the result is the same
-        # 5-tuple Link(_compute_links) would build, defaults included.
+        # 5-tuple the Link constructor would build, defaults included.
         flat = list(map(tuple.__new__, repeat(Link),
                         zip(nodes_list, delays_list, in_rx_list, powers_list,
                             sensed_list)))
@@ -571,11 +489,11 @@ class NeighborService:
 
     def _links_by_power(self, sender: int, cand: np.ndarray,
                         dists: np.ndarray) -> Tuple[Link, ...]:
-        """Scalar power-mode link loop (shared by brute and pruned paths).
+        """Scalar power-mode link loop of the pruned path.
 
         Same float64 operations per element as the batched power branch
         of :meth:`_build_tables`, candidates visited in ascending-node
-        order -- bit-identical to the grid path by construction.
+        order -- bit-identical to the batched rebuild by construction.
         """
         spec = self._power_spec
         links: List[Link] = []
@@ -598,48 +516,17 @@ class NeighborService:
             )
         return tuple(links)
 
-    def _compute_links(self, sender: int, time_ns: int) -> Tuple[Link, ...]:
-        """The brute-force reference: one sender, one O(n) distance pass."""
-        pos = self.positions_at(time_ns)
-        if not 0 <= sender < len(pos):
-            raise ValueError(f"unknown sender id {sender}")
-        deltas = pos - pos[sender]
-        dists = np.hypot(deltas[:, 0], deltas[:, 1])
-        if self._power_spec is not None:
-            return self._links_by_power(
-                sender, np.arange(len(pos)), dists)
-        links: List[Link] = []
-        max_range = self._model.max_range()
-        candidates = np.flatnonzero(dists <= max_range)
-        power_fn = getattr(self._model, "received_power_dbm", None)
-        for node in candidates:
-            if node == sender:
-                continue
-            d = float(dists[node])
-            if not self._model.carrier_sensed(d):
-                continue
-            power = power_fn(d) if power_fn is not None else None
-            links.append(
-                Link(
-                    node=int(node),
-                    delay_ns=propagation_delay_ns(d),
-                    in_rx_range=self._model.in_range(d),
-                    power_dbm=float(power) if power is not None else None,
-                )
-            )
-        return tuple(links)
-
     def _compute_links_pruned(self, sender: int, time_ns: int,
                               grid: SpatialGrid) -> Tuple[Link, ...]:
         """One sender's links against its 3x3 cell neighborhood only.
 
-        The sparse-bucket path: same scalar loop as
-        :meth:`_compute_links`, but over ``grid.candidates_of(sender)``
-        (a sorted superset of every node within ``max_range``) instead
-        of all n nodes. Distances come from the identical element-wise
-        subtract/``np.hypot``, candidates are visited in the same
-        ascending-node order, and every per-link scalar call is the
-        same -- so the result is bit-identical to brute.
+        The sparse-bucket path: a scalar loop over
+        ``grid.candidates_of(sender)`` (a sorted superset of every node
+        within ``max_range``). Distances come from the same element-wise
+        subtract/``np.hypot`` as :meth:`_build_tables`, candidates are
+        visited in the same ascending-node order, and every per-link
+        scalar call matches its batch form -- so the result is
+        bit-identical to the batched rebuild.
         """
         pos = self.positions_at(time_ns)
         cand = grid.candidates_of(sender)
@@ -650,7 +537,7 @@ class NeighborService:
         links: List[Link] = []
         model = self._model
         max_range = model.max_range()
-        power_fn = getattr(model, "received_power_dbm", None)
+        power_fn = model.received_power_dbm
         sensed_fn = model.carrier_sensed
         in_range_fn = model.in_range
         delay_fn = propagation_delay_ns
@@ -662,9 +549,7 @@ class NeighborService:
             d = float(dists[idx])
             if not sensed_fn(d):
                 continue
-            power = power_fn(d) if power_fn is not None else None
-            append(Link(node, delay_fn(d), in_range_fn(d),
-                        float(power) if power is not None else None))
+            append(Link(node, delay_fn(d), in_range_fn(d), float(power_fn(d))))
         return tuple(links)
 
     def distance(self, a: int, b: int, time_ns: int) -> float:

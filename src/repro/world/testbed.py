@@ -45,7 +45,6 @@ class MacTestbed:
         trace: bool = False,
         tracer: Optional[Tracer] = None,
         cache_window: int = 50_000_000,
-        neighbor_indexing: str = "auto",
         capture_threshold_db: Optional[float] = None,
         faults: Optional["FaultInjector"] = None,
         sinr: Optional["SinrConfig"] = None,
@@ -84,11 +83,8 @@ class MacTestbed:
             self.sinr_state = wiring.build_state(self.rngs.stream("fading"))
         else:
             model = propagation or UnitDiskModel(phy.radio_range)
-        #: ``neighbor_indexing``: "auto" (grid at >= GRID_THRESHOLD nodes),
-        #: "grid", or "brute" -- see repro.phy.neighbors.
         self.neighbors = NeighborService(
-            provider, model, cache_window=cache_window,
-            indexing=neighbor_indexing, power_spec=power_spec,
+            provider, model, cache_window=cache_window, power_spec=power_spec,
         )
         #: Optional fault injector shared by the data and tone channels.
         self.faults = faults

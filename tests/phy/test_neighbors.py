@@ -9,6 +9,7 @@ from repro.phy.neighbors import (
     propagation_delay_ns,
 )
 from repro.phy.propagation import UnitDiskModel
+from tests.phy.brute_links import reference_links
 
 
 def service(coords, rng=75.0, **kw):
@@ -179,15 +180,10 @@ def test_counters_track_table_cache():
     counters = svc.counters.as_dict()
     assert counters["table_misses"] == 2
     assert counters["table_hits"] == 1
-    assert counters["links_built"] == 2  # one link per computed table
-
-
-def test_indexing_mode_validation():
-    with pytest.raises(ValueError):
-        service([(0, 0)], indexing="octree")
-    svc = service([(0, 0)])
-    with pytest.raises(ValueError):
-        svc.force_indexing("octree")
+    # One of two senders queried is already dense (>= 25%), so each
+    # miss rebuilds both tables in one batch: 2 rebuilds x 2 links.
+    assert counters["table_rebuilds"] == 2
+    assert counters["links_built"] == 4
 
 
 def test_grid_and_brute_static_tables_identical():
@@ -195,34 +191,12 @@ def test_grid_and_brute_static_tables_identical():
 
     rng = random.Random(5)
     coords = [(rng.uniform(0, 500), rng.uniform(0, 300)) for _ in range(70)]
-    grid = service(coords, indexing="grid")
-    brute = service(coords, indexing="brute")
+    svc = service(coords)
     for sender in range(len(coords)):
-        assert grid.links_from(sender, 0) == brute.links_from(sender, 0)
-    assert grid.counters.table_rebuilds == 1
-    assert grid.counters.grid_cells > 0
-    assert grid.counters.grid_pairs > 0
-
-
-def test_force_indexing_switches_path_same_results():
-    import random
-
-    rng = random.Random(9)
-    coords = [(rng.uniform(0, 300), rng.uniform(0, 200)) for _ in range(30)]
-    svc = service(coords, indexing="auto")  # below threshold: brute
-    before = [svc.links_from(s, 0) for s in range(len(coords))]
-    assert svc.counters.table_rebuilds == 0
-    svc.force_indexing("grid")
-    after = [svc.links_from(s, 0) for s in range(len(coords))]
+        assert svc.links_from(sender, 0) == reference_links(svc, sender, 0)
     assert svc.counters.table_rebuilds == 1
-    assert before == after
-
-
-def test_auto_threshold_picks_grid_at_scale():
-    coords = [(float(i % 10) * 30.0, float(i // 10) * 30.0) for i in range(64)]
-    svc = service(coords)  # auto, n == GRID_THRESHOLD
-    svc.links_from(0, 0)
-    assert svc.counters.table_rebuilds == 1
+    assert svc.counters.grid_cells > 0
+    assert svc.counters.grid_pairs > 0
 
 
 def test_table_from_shares_delay_map():
@@ -258,7 +232,7 @@ class _DriftProvider:
 def test_grid_mobile_density_adaptive():
     n = 80
     svc = NeighborService(_DriftProvider(n), UnitDiskModel(75.0),
-                          cache_window=1000, indexing="grid")
+                          cache_window=1000)
     # Sparse traffic: one sender per bucket never triggers a batched
     # rebuild; tables are served lazily against the bucket's grid.
     for bucket in range(3):
@@ -274,9 +248,8 @@ def test_grid_mobile_density_adaptive():
     for s in range(n):
         svc.links_from(s, 4000)
     assert svc.counters.table_rebuilds == 2
-    # Both flavors (lazy pruned scalar, batched) agree with brute.
-    brute = NeighborService(_DriftProvider(n), UnitDiskModel(75.0),
-                            cache_window=1000, indexing="brute")
+    # Both flavors (lazy pruned scalar, batched) agree with the
+    # brute-force reference.
     for t in (0, 3000, 4000):
         for s in range(n):
-            assert svc.links_from(s, t) == brute.links_from(s, t)
+            assert svc.links_from(s, t) == reference_links(svc, s, t)

@@ -1,11 +1,13 @@
 """Property: grid-indexed link tables are *exactly* brute-force's.
 
-The grid path's whole contract is "measurably faster, bit-identical
-results": for every sender, the batched numpy rebuild must produce the
-same node set, the same ``delay_ns``, the same ``in_rx_range`` flag and
-the same ``power_dbm`` (to the last bit) as the per-sender brute-force
-reference, for both propagation models, across mobility bucket epochs,
-and with nodes straddling grid-cell boundaries.
+The spatial grid's whole contract is "measurably faster, bit-identical
+results": for every sender, ``NeighborService`` (batched rebuilds and
+pruned per-sender lookups alike) must produce the same node set, the
+same ``delay_ns``, the same ``in_rx_range`` flag and the same
+``power_dbm`` (to the last bit) as the per-sender brute-force reference
+in ``tests/phy/brute_links.py``, for both propagation models, across
+mobility bucket epochs, and with nodes straddling grid-cell boundaries.
+Worlds go down to a single node (the 1-3 node MAC testbeds).
 """
 
 import random
@@ -19,6 +21,7 @@ from repro.phy.neighbors import NeighborService, StaticPositions
 from repro.phy.params import DEFAULT_PHY
 from repro.phy.propagation import LogDistanceModel, UnitDiskModel
 from repro.phy.sinr import SinrConfig, wire_sinr
+from tests.phy.brute_links import reference_links
 
 WIDTH, HEIGHT = 400.0, 250.0
 
@@ -49,7 +52,7 @@ def make_coords(rng, n, clustered):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    n=st.integers(2, 50),
+    n=st.integers(1, 50),
     kind=st.sampled_from(["unit", "log"]),
     sense_extra=st.sampled_from([0.0, 25.0]),
     clustered=st.booleans(),
@@ -58,10 +61,9 @@ def test_static_grid_tables_equal_brute(seed, n, kind, sense_extra, clustered):
     rng = random.Random(seed)
     provider = StaticPositions(make_coords(rng, n, clustered))
     model = make_model(kind, sense_extra)
-    grid = NeighborService(provider, model, indexing="grid")
-    brute = NeighborService(provider, model, indexing="brute")
+    grid = NeighborService(provider, model)
     for sender in range(n):
-        assert grid.links_from(sender, 0) == brute.links_from(sender, 0)
+        assert grid.links_from(sender, 0) == reference_links(grid, sender, 0)
 
 
 def make_power_spec(kind, hetero, n, seed):
@@ -76,7 +78,7 @@ def make_power_spec(kind, hetero, n, seed):
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    n=st.integers(2, 50),
+    n=st.integers(1, 50),
     kind=st.sampled_from(["shadowing", "logdistance"]),
     hetero=st.booleans(),
     clustered=st.booleans(),
@@ -86,16 +88,16 @@ def test_static_power_mode_grid_tables_equal_brute(
     """Power-mode links (pair-aware shadowing, heterogeneous radio
     offsets, interference-only tails) keep the grid==brute bit-identity
     contract: same nodes, delays, flags and ``power_dbm`` to the last
-    bit. The shadow cache is per-model, so both services share one
-    model instance -- exactly how the testbed wires it."""
+    bit. The shadow cache is per-model, so the service and the
+    reference share one model instance -- exactly how the testbed
+    wires it."""
     rng = random.Random(seed)
     provider = StaticPositions(make_coords(rng, n, clustered))
     model, spec = make_power_spec(kind, hetero, n, seed)
-    grid = NeighborService(provider, model, indexing="grid", power_spec=spec)
-    brute = NeighborService(provider, model, indexing="brute", power_spec=spec)
+    grid = NeighborService(provider, model, power_spec=spec)
     for sender in range(n):
         links = grid.links_from(sender, 0)
-        assert links == brute.links_from(sender, 0)
+        assert links == reference_links(grid, sender, 0)
         for link in links:
             assert link.sensed == (link.power_dbm >= spec.cs_threshold_dbm)
             assert link.in_rx_range == (link.power_dbm >= spec.rx_threshold_dbm)
@@ -105,7 +107,7 @@ def test_static_power_mode_grid_tables_equal_brute(
 @settings(max_examples=15, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    n=st.integers(2, 24),
+    n=st.integers(1, 24),
     hetero=st.booleans(),
 )
 def test_mobile_power_mode_grid_tables_equal_brute(seed, n, hetero):
@@ -119,19 +121,17 @@ def test_mobile_power_mode_grid_tables_equal_brute(seed, n, hetero):
     model, spec = make_power_spec("shadowing", hetero, n, seed)
     window = 50_000_000
     grid = NeighborService(provider, model, cache_window=window,
-                           indexing="grid", power_spec=spec)
-    brute = NeighborService(provider, model, cache_window=window,
-                            indexing="brute", power_spec=spec)
+                           power_spec=spec)
     for epoch in range(3):
         t = epoch * window + window // 3
         for sender in range(n):
-            assert grid.links_from(sender, t) == brute.links_from(sender, t)
+            assert grid.links_from(sender, t) == reference_links(grid, sender, t)
 
 
 @settings(max_examples=25, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    n=st.integers(2, 30),
+    n=st.integers(1, 30),
     kind=st.sampled_from(["unit", "log"]),
     window=st.sampled_from([10_000_000, 50_000_000]),
 )
@@ -144,9 +144,8 @@ def test_mobile_grid_tables_equal_brute_across_epochs(seed, n, kind, window):
     ]
     provider = MobilityProvider(models)
     model = make_model(kind, 0.0)
-    grid = NeighborService(provider, model, cache_window=window, indexing="grid")
-    brute = NeighborService(provider, model, cache_window=window, indexing="brute")
+    grid = NeighborService(provider, model, cache_window=window)
     for epoch in range(4):
         t = epoch * window + window // 3
         for sender in range(n):
-            assert grid.links_from(sender, t) == brute.links_from(sender, t)
+            assert grid.links_from(sender, t) == reference_links(grid, sender, t)

@@ -21,6 +21,20 @@ def test_run_prints_summary(capsys):
     assert "rmac" in out
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--nodes", "0", "n_nodes must be positive"),
+    ("--rate", "0", "rate must be positive"),
+    ("--width", "-10", "area dimensions must be positive"),
+])
+def test_run_rejects_bad_scenario_input(capsys, flag, value, message):
+    code = main(["run", "--packets", "5", flag, value])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("repro: error: ")
+    assert message in err
+    assert "Traceback" not in err
+
+
 def test_run_mobile_flag(capsys):
     code = main(["run", "--nodes", "10", "--width", "180", "--height", "130",
                  "--packets", "5", "--speed", "8", "--pause", "2",

@@ -1,20 +1,23 @@
 """Full-stack grid-vs-brute equivalence: same seeds, same RunSummary.
 
-The spatial-grid link path must be invisible to protocol behavior: a
+The spatial-grid link builder must be invisible to protocol behavior: a
 complete run (placement, mobility, PHY, MAC, BLESS, multicast, metrics)
-forced onto the grid path produces a bit-identical summary to the same
-run forced onto the brute-force path. ``force_indexing`` flips the path
-on the built network, so ``ScenarioConfig`` -- and every ``config_hash``
-derived from it -- is identical on both sides.
+produces a bit-identical summary to the same run with every link table
+served by the brute-force reference. The reference replaces
+``table_from`` on the built network, so ``ScenarioConfig`` -- and every
+``config_hash`` derived from it -- is identical on both sides.
 """
 
 from repro.world.network import ScenarioConfig, build_network
+from tests.phy.brute_links import install_reference_tables
 
 
-def run_with_indexing(config, mode):
+def run_with_links(config, reference):
     network = build_network(config)
-    network.testbed.neighbors.force_indexing(mode)
-    return network.run(), network.testbed.neighbors.counters
+    neighbors = network.testbed.neighbors
+    if reference:
+        install_reference_tables(neighbors)
+    return network.run(), neighbors.counters
 
 
 STATIC = ScenarioConfig(n_nodes=40, width=360.0, height=220.0, rate_pps=5.0,
@@ -24,16 +27,16 @@ MOBILE = STATIC.variant(mobile=True, n_nodes=30, width=300.0, height=200.0,
 
 
 def test_static_run_bit_identical_across_indexing():
-    grid, grid_counters = run_with_indexing(STATIC, "grid")
-    brute, brute_counters = run_with_indexing(STATIC, "brute")
+    grid, grid_counters = run_with_links(STATIC, reference=False)
+    brute, brute_counters = run_with_links(STATIC, reference=True)
     assert grid.to_dict() == brute.to_dict()
     assert grid_counters.table_rebuilds == 1
     assert brute_counters.table_rebuilds == 0
 
 
 def test_mobile_run_bit_identical_across_indexing():
-    grid, grid_counters = run_with_indexing(MOBILE, "grid")
-    brute, _ = run_with_indexing(MOBILE, "brute")
+    grid, grid_counters = run_with_links(MOBILE, reference=False)
+    brute, _ = run_with_links(MOBILE, reference=True)
     assert grid.to_dict() == brute.to_dict()
     # Tables were computed across several bucket epochs -- eagerly
     # (rebuilds) or lazily (misses) depending on per-bucket density.

@@ -32,7 +32,7 @@ def main(argv=None) -> int:
     parser.add_argument("figure", choices=sorted(FIGURES))
     parser.add_argument("--scale", choices=sorted(SCALES), default="small")
     parser.add_argument("--workers", type=int, default=0,
-                        help="process-pool size (0 = run serially)")
+                        help="worker processes (0 or 1 = run serially)")
     parser.add_argument("--csv", help="also write the rows to this CSV file")
     args = parser.parse_args(argv)
 

@@ -7,9 +7,10 @@ Commands
 ``figure``   regenerate a paper figure (fig7..fig13) at a chosen scale,
              or from a campaign store with ``--from DIR`` (no simulation).
 ``campaign`` checkpointed sweeps: ``run`` (kill-and-resume safe, every
-             finished point durably on disk), ``status`` (progress),
-             ``farm`` (sharded multi-process executor with work-stealing
-             and crash recovery) and ``serve`` (live status endpoint).
+             finished point durably on disk; ``--workers N`` runs it on
+             the campaign farm), ``status`` (progress), ``farm`` (``run``
+             on every core, with farm counters) and ``serve`` (live
+             status endpoint).
 ``validate`` check every quantitative paper claim against a sweep
              (or a store, with ``--from DIR``).
 ``topology`` Fig. 6 tree statistics over random placements.
@@ -185,14 +186,15 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     return 0
 
 
+def _print_progress(done, total, key, error):
+    status = f"FAILED ({error})" if error else "ok"
+    print(f"[{done}/{total}] {key} {status}", flush=True)
+
+
 def _sweep_options(args: argparse.Namespace) -> dict:
     """run_sweep kwargs from the shared sweep CLI flags."""
-    progress = None
-    if args.progress:
-        def progress(done, total, key, error):
-            status = f"FAILED ({error})" if error else "ok"
-            print(f"[{done}/{total}] {key} {status}", flush=True)
-    return dict(workers=args.workers, retries=args.retries, progress=progress)
+    return dict(workers=args.workers, retries=args.retries,
+                progress=_print_progress if args.progress else None)
 
 
 def _report_failures(results, fail_on_error: bool) -> int:
@@ -206,9 +208,26 @@ def _report_failures(results, fail_on_error: bool) -> int:
     return 1 if (failures and fail_on_error) else 0
 
 
-def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=int, default=0)
-    parser.add_argument("--retries", type=int, default=0,
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _add_sweep_flags(parser: argparse.ArgumentParser,
+                     default_workers: Optional[int] = 0) -> None:
+    parser.add_argument("--workers", type=_non_negative_int,
+                        default=default_workers, metavar="N",
+                        help="worker processes (default: all cores)"
+                             if default_workers is None else
+                             "worker processes; above 1 the sweep runs on "
+                             "the campaign farm (default: serial)")
+    parser.add_argument("--retries", type=_non_negative_int, default=0,
                         help="re-run a crashed point up to N extra times")
     parser.add_argument("--progress", action="store_true",
                         help="print one line per finished (point, seed) run")
@@ -217,9 +236,35 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
                              "(default: report and keep partial results)")
 
 
+def _add_campaign_flags(parser: argparse.ArgumentParser) -> None:
+    """The matrix flags `campaign run` and `campaign farm` share."""
+    parser.add_argument("--out", required=True, metavar="DIR",
+                        help="result-store directory (created on first "
+                             "run; a v0 .json checkpoint here is migrated "
+                             "in place); with more than one worker, shards "
+                             "live in DIR/shards/ and heartbeats in "
+                             "DIR/workers/")
+    parser.add_argument("--scale", choices=sorted(FIGURE_SCALES),
+                        default="small")
+    parser.add_argument("--protocols", default="rmac,bmmm",
+                        help="comma-separated protocol names")
+    parser.add_argument("--faults", metavar="PLAN.json",
+                        help="inject the same fault plan into every point "
+                             "(part of each point's config hash, so resume "
+                             "stays exact)")
+    parser.add_argument("--oracle", action="store_true",
+                        help="attach the invariant oracle to every point; "
+                             "per-point violation reports are persisted in "
+                             "the store")
+    parser.add_argument("--sinr", choices=sorted(SINR_PROFILES),
+                        help="run every point under SINR interference "
+                             "reception on the named propagation profile "
+                             "(part of each point's config hash)")
+
+
 #: (n_nodes, n_packets, rates, seeds) per --scale choice. "smoke" is
 #: the committed 40-node spec CI drives end to end (the farm smoke job
-#: runs it twice — farmed and single-process — and asserts bit-identity).
+#: runs it farmed and serially and asserts bit-identity).
 FIGURE_SCALES = {
     "smoke": (40, 40, (20,), (1, 2)),
     "small": (25, 60, (10, 60, 120), (1, 2)),
@@ -338,17 +383,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return failure_code or (0 if all_pass(rows) else 1)
 
 
-def _cmd_campaign_run(args: argparse.Namespace) -> int:
-    from repro.experiments.campaign import Campaign
-
+def _run_campaign(args: argparse.Namespace, campaign, progress, workers,
+                  telemetry=None):
+    """Run the campaign matrix the shared campaign flags describe."""
     _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
-    campaign = Campaign(args.out)
-    options = _sweep_options(args)
-    if options["progress"] is None:
-        def default_progress(done, total, key, error):
-            status = f"FAILED ({error})" if error else "ok"
-            print(f"[{done}/{total}] {key} {status}", flush=True)
-        options["progress"] = default_progress
     faults = _load_faults(args.faults)
     sinr = _make_sinr(args)
     manifest_extra = {"scale": args.scale}
@@ -358,14 +396,20 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
         manifest_extra["oracle"] = True
     if sinr is not None:
         manifest_extra["sinr"] = sinr.to_dict()
-    results = campaign.run(
-        args.protocols.split(","), list(SCENARIOS), list(rates),
-        list(seeds),
+    return campaign.run(
+        args.protocols.split(","), list(SCENARIOS), list(rates), list(seeds),
         _scale_make_config(args.scale, faults=faults, oracle=args.oracle,
                            sinr=sinr),
-        manifest_extra=manifest_extra,
-        **options,
+        workers=workers, retries=args.retries, progress=progress,
+        manifest_extra=manifest_extra, telemetry=telemetry,
     )
+
+
+def _cmd_campaign_run(args: argparse.Namespace) -> int:
+    from repro.experiments.campaign import Campaign
+
+    campaign = Campaign(args.out)
+    results = _run_campaign(args, campaign, _print_progress, args.workers)
     for figure in sorted(FIGURES):
         spec = FIGURES[figure]
         rows = figure_rows(spec, results)
@@ -375,38 +419,21 @@ def _cmd_campaign_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_campaign_farm(args: argparse.Namespace) -> int:
-    from repro.experiments.farm import CampaignFarm, render_farm_status, farm_status
+    from repro.experiments.campaign import Campaign
+    from repro.experiments.farm import render_farm_status, farm_status
 
-    _n, _p, rates, seeds = FIGURE_SCALES[args.scale]
-    farm = CampaignFarm(args.out)
-
-    def default_progress(done, total, key, error):
-        status = f"FAILED ({error})" if error else "ok"
-        print(f"[{done}/{total}] {key} {status}", flush=True)
-
-    faults = _load_faults(args.faults)
-    sinr = _make_sinr(args)
-    manifest_extra = {"scale": args.scale}
-    if faults is not None:
-        manifest_extra["faults"] = faults.to_dict()
-    if args.oracle:
-        manifest_extra["oracle"] = True
-    if sinr is not None:
-        manifest_extra["sinr"] = sinr.to_dict()
+    campaign = Campaign(args.out)
     telemetry = None
     if args.telemetry:
         from repro.sim.telemetry import Telemetry
 
         telemetry = Telemetry()
-    results = farm.run(
-        args.protocols.split(","), list(SCENARIOS), list(rates), list(seeds),
-        _scale_make_config(args.scale, faults=faults, oracle=args.oracle,
-                           sinr=sinr),
-        workers=args.workers, retries=args.retries,
-        progress=default_progress if args.progress else None,
-        manifest_extra=manifest_extra, telemetry=telemetry,
-    )
-    counters = farm.counters.as_dict()
+    # --workers defaults to (and 0 means) every core.
+    results = _run_campaign(args, campaign,
+                            _print_progress if args.progress else None,
+                            args.workers or os.cpu_count() or 1,
+                            telemetry=telemetry)
+    counters = campaign.counters.as_dict()
     print("farm: " + ", ".join(f"{k.replace('points_', '')}={v}"
                                for k, v in counters.items()))
     if args.telemetry:
@@ -416,8 +443,8 @@ def _cmd_campaign_farm(args: argparse.Namespace) -> int:
             json.dump(telemetry.report().to_dict(), fh, indent=2)
             fh.write("\n")
         print(f"farm telemetry -> {args.telemetry}")
-    print(render_farm_status(farm_status(farm.path)), end="")
-    print(f"farm store: {farm.path} ({len(farm)} merged points)")
+    print(render_farm_status(farm_status(campaign.path)), end="")
+    print(f"farm store: {campaign.path} ({len(campaign)} merged points)")
     return _report_failures(results, args.fail_on_error)
 
 
@@ -578,27 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run (or resume) a checkpointed sweep; kill it any time -- "
              "completed points are on disk and are never re-simulated",
     )
-    campaign_run.add_argument("--out", required=True, metavar="DIR",
-                              help="result-store directory (created on "
-                                   "first run; a v0 .json checkpoint "
-                                   "here is migrated in place)")
-    campaign_run.add_argument("--scale", choices=sorted(FIGURE_SCALES),
-                              default="small")
-    campaign_run.add_argument("--protocols", default="rmac,bmmm",
-                              help="comma-separated protocol names")
-    campaign_run.add_argument("--faults", metavar="PLAN.json",
-                              help="inject the same fault plan into every "
-                                   "point (part of each point's config "
-                                   "hash, so resume stays exact)")
-    campaign_run.add_argument("--oracle", action="store_true",
-                              help="attach the invariant oracle to every "
-                                   "point; per-point violation reports "
-                                   "are persisted in the store")
-    campaign_run.add_argument("--sinr", choices=sorted(SINR_PROFILES),
-                              help="run every point under SINR "
-                                   "interference reception on the named "
-                                   "propagation profile (part of each "
-                                   "point's config hash)")
+    _add_campaign_flags(campaign_run)
     _add_sweep_flags(campaign_run)
     campaign_run.set_defaults(func=_cmd_campaign_run)
 
@@ -608,37 +615,8 @@ def build_parser() -> argparse.ArgumentParser:
              "result store per shard, work-stealing, dead workers' "
              "leases requeued, shards merged into the canonical store",
     )
-    campaign_farm.add_argument("--out", required=True, metavar="DIR",
-                               help="farm root directory (the merged "
-                                    "canonical store; shards live in "
-                                    "DIR/shards/, heartbeats in "
-                                    "DIR/workers/)")
-    campaign_farm.add_argument("--workers", type=int, default=None,
-                               metavar="N",
-                               help="worker processes / shards "
-                                    "(default: all cores)")
-    campaign_farm.add_argument("--scale", choices=sorted(FIGURE_SCALES),
-                               default="small")
-    campaign_farm.add_argument("--protocols", default="rmac,bmmm",
-                               help="comma-separated protocol names")
-    campaign_farm.add_argument("--retries", type=int, default=0,
-                               help="re-run a crashed point up to N "
-                                    "extra times")
-    campaign_farm.add_argument("--progress", action="store_true",
-                               help="print one line per finished "
-                                    "(point, seed) run")
-    campaign_farm.add_argument("--fail-on-error", action="store_true",
-                               help="exit nonzero if any point failed")
-    campaign_farm.add_argument("--faults", metavar="PLAN.json",
-                               help="inject the same fault plan into "
-                                    "every point")
-    campaign_farm.add_argument("--oracle", action="store_true",
-                               help="attach the invariant oracle to "
-                                    "every point")
-    campaign_farm.add_argument("--sinr", choices=sorted(SINR_PROFILES),
-                               help="run every point under SINR "
-                                    "interference reception on the "
-                                    "named propagation profile")
+    _add_campaign_flags(campaign_farm)
+    _add_sweep_flags(campaign_farm, default_workers=None)
     campaign_farm.add_argument("--telemetry", metavar="OUT.json",
                                help="write the farm counters (done/"
                                     "stolen/requeued, worker deaths) "

@@ -7,20 +7,21 @@ API reference for its layer):
   config factories (``paper_scenario`` / ``scaled_scenario``); pure
   construction, no execution.
 * :mod:`~repro.experiments.runner` — execution and aggregation:
-  ``run_sweep`` fans (protocol, scenario, rate, seed) jobs over a
-  process pool, captures failures, and averages seeds into
-  ``SweepResult`` points; ``results_from_store`` aggregates without
-  simulating.
+  ``run_sweep`` runs (protocol, scenario, rate, seed) jobs serially or,
+  with ``workers > 1``, on the campaign farm, captures failures, and
+  averages seeds into ``SweepResult`` points; ``results_from_store``
+  aggregates without simulating.
 * :mod:`~repro.experiments.store` — persistence: the append-only JSONL
   ``ResultStore``, the config hash, and legacy-store migration.
 * :mod:`~repro.experiments.campaign` — workflow: ``Campaign`` ties the
   matrix, the store and the runner into a resumable, status-reporting
-  long sweep.
-* :mod:`~repro.experiments.farm` — distributed execution:
-  ``CampaignFarm`` shards the matrix across worker processes (one
-  store per shard, work-stealing, crash detection + lease requeue) and
-  merges the shards back into the canonical store; ``farm_status`` and
-  ``make_status_server`` power ``repro campaign serve``.
+  long sweep; ``Campaign.counters`` holds the last run's
+  ``FarmCounters``.
+* :mod:`~repro.experiments.farm` — multi-process execution: the one
+  parallel executor, sharding jobs across worker processes (one store
+  per shard, work-stealing, crash detection + lease requeue);
+  ``farm_status`` and ``make_status_server`` power
+  ``repro campaign serve``.
 * :mod:`~repro.experiments.figures` — figure definitions: what each
   paper figure plots, and rows from results or straight from a store.
 * :mod:`~repro.experiments.report` — presentation: text tables, CSV,
@@ -42,7 +43,7 @@ from repro.experiments.store import (
     point_key,
 )
 from repro.experiments.campaign import Campaign
-from repro.experiments.farm import CampaignFarm, FarmCounters, farm_status
+from repro.experiments.farm import FarmCounters, farm_status
 from repro.experiments.runner import (
     PointFailure,
     SweepResult,
@@ -61,7 +62,6 @@ from repro.experiments.report import format_table, render_status, rows_to_csv
 
 __all__ = [
     "Campaign",
-    "CampaignFarm",
     "FarmCounters",
     "PAPER_RATES",
     "ResultStore",

@@ -1,31 +1,37 @@
 """Checkpointed experiment campaigns (the orchestration layer).
 
 Ownership: :class:`Campaign` owns the **workflow** — defining the
-matrix, recording it in the store's manifest, resuming after an
-interruption, and reporting progress. Execution (process pool, retries,
-failure capture) is delegated to :func:`repro.experiments.runner.run_sweep`,
-which writes through the store as jobs complete; persistence (record
-format, hashing, durability) is owned by
+matrix, recording it in the store's manifest, and reporting progress
+and status. Execution (resume, retries, failure capture, the serial
+loop or the campaign farm for ``workers > 1``, the final shard merge)
+is delegated to :func:`repro.experiments.runner.execute_jobs`, which
+writes through the store as jobs complete; persistence (record format,
+hashing, durability) is owned by
 :class:`repro.experiments.store.ResultStore`.
 
 A paper-scale sweep (480 runs at 10 000 packets) takes hours in pure
 Python. A campaign makes that survivable: every finished (protocol,
-scenario, rate, seed) point is durably appended to the store before the
-next one starts, so the process can be killed at any instant and
-re-invoked — only missing, failed, or configuration-changed points are
-re-simulated, and the resumed aggregates are bit-identical to an
-uninterrupted run (``tests/experiments/test_campaign.py`` asserts this).
+scenario, rate, seed) point is durably appended to the store (or, on
+the farm, to its worker's shard store) before the worker takes the
+next one, so the process can be killed at any instant and re-invoked —
+only missing, failed, or configuration-changed points are re-simulated,
+and the resumed aggregates are bit-identical to an uninterrupted run
+(``tests/experiments/test_campaign.py`` and
+``tests/experiments/test_farm.py`` assert this).
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.experiments.farm import FarmCounters
 from repro.experiments.runner import (
     ProgressFn,
     SweepResult,
     aggregate,
-    run_sweep,
+    build_jobs,
+    collect_results,
+    execute_jobs,
 )
 from repro.experiments.store import PointKey, ResultStore, config_hash, point_key
 from repro.world.network import ScenarioConfig
@@ -43,6 +49,9 @@ class Campaign:
 
     def __init__(self, store):
         self.store = store if isinstance(store, ResultStore) else ResultStore(store)
+        #: The last :meth:`run`'s execution counters (a serial run fills
+        #: total, cached, done and failed; the farm fills the rest too).
+        self.counters = FarmCounters()
 
     @property
     def path(self) -> str:
@@ -63,31 +72,40 @@ class Campaign:
         *,
         workers: int = 0,
         retries: int = 0,
-        strict: bool = False,
         progress: Optional[ProgressFn] = None,
         manifest_extra: Optional[dict] = None,
+        telemetry=None,
     ) -> List[SweepResult]:
         """Run (or resume) the matrix; every completed point is durably
-        on disk before the next begins. Returns aggregated results.
+        on disk before its worker takes the next. Returns aggregated
+        results.
 
         Accepts the runner's execution knobs (``workers``, ``retries``,
-        ``strict``, ``progress``) unchanged. ``manifest_extra`` merges
-        extra keys (e.g. the CLI's ``scale``) into the stored manifest
-        so ``repro campaign status`` can rebuild the matrix later.
+        ``progress``) unchanged; ``workers > 1`` runs the campaign farm
+        with its shard stores under this campaign's directory.
+        ``manifest_extra`` merges extra keys (e.g. the CLI's ``scale``)
+        into the stored manifest so ``repro campaign status`` can
+        rebuild the matrix later. ``telemetry`` (a
+        :class:`~repro.sim.telemetry.Telemetry`) gets :attr:`counters`
+        as a ``"farm"`` section.
         """
+        jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
         manifest = {
             "protocols": [str(p) for p in protocols],
             "scenarios": [str(s) for s in scenarios],
             "rates": [float(r) for r in rates],
             "seeds": [int(s) for s in seeds],
         }
+        if workers > 1 and jobs:
+            shards = min(workers, len(jobs))
+            manifest["farm"] = {"workers": shards, "shards": shards}
         manifest.update(manifest_extra or {})
         self.store.write_manifest(manifest)
-        return run_sweep(
-            protocols, scenarios, rates, seeds, make_config,
-            workers, retries=retries, strict=strict, progress=progress,
-            store=self.store,
-        )
+        outcomes, self.counters = execute_jobs(jobs, workers, retries,
+                                               progress, self.store)
+        if telemetry is not None:
+            telemetry.set_section("farm", self.counters.as_dict())
+        return collect_results(jobs, seeds, outcomes)
 
     # ------------------------------------------------------------------
     def aggregate(

@@ -1,18 +1,17 @@
-"""Distributed campaign farm: a sharded multi-process work-queue executor.
+"""Campaign farm: the sharded multi-process executor behind every parallel sweep.
 
-Ownership: this module owns **distributed execution** — sharding a
-campaign's (protocol, scenario, rate, seed) points across worker
-processes, keeping the workers fed (work-stealing), surviving their
-deaths (lease requeue + shard replay), and folding the per-shard result
-stores back into one canonical store. Scenario construction stays in
+Ownership: this module owns **multi-process execution** — spreading a
+sweep's (protocol, scenario, rate, seed) jobs across worker processes,
+keeping the workers fed (work-stealing) and surviving their deaths
+(lease requeue + shard replay). :func:`repro.experiments.runner.run_sweep`
+and :meth:`repro.experiments.campaign.Campaign.run` hand it every run
+with ``workers > 1``; they own resume and the final merge of the shard
+stores into the canonical store. Scenario construction stays in
 :mod:`~repro.experiments.scenarios`, persistence in
 :mod:`~repro.experiments.store` (the farm only composes ``ResultStore``
 directories), aggregation in :mod:`~repro.experiments.runner`.
 
-Why not just ``run_sweep(workers=N)``? A process pool ties the
-campaign's durability to one coordinator's ``results.jsonl`` and gives
-a crashed worker's in-flight work back only via pool semantics. At the
-ROADMAP's 10^5–10^6-point scale the farm needs stronger properties:
+The design targets the ROADMAP's 10^5–10^6-point scale:
 
 * **Sharded stores.** Every worker appends to its *own*
   ``ResultStore`` directory (``DIR/shards/shard-NN/``), so there is no
@@ -32,14 +31,14 @@ ROADMAP's 10^5–10^6-point scale the farm needs stronger properties:
   one job to a worker at a time and watches process liveness. A killed
   worker's leased job returns to the front of its home queue and runs
   elsewhere; the dead worker's partial shard store is *replayed* on the
-  next farm run (its completed points are served as cached), never
-  discarded.
+  next run over the same directory (its completed points are served as
+  cached), never discarded.
 * **Deterministic merge.** :func:`repro.experiments.store.merge_stores`
   folds the shard stores into the canonical root store
   (``DIR/results.jsonl``) — per point bit-identical (``config_hash``
-  and ``RunSummary`` dict) to a single-process ``repro campaign run``
-  of the same spec, because every point is a deterministic function of
-  its config and the record format is shared.
+  and ``RunSummary`` dict) to a serial run of the same spec, because
+  every point is a deterministic function of its config and the record
+  format is shared.
 
 Liveness is observable while the farm runs: the coordinator maintains
 ``DIR/farm.json`` and every worker heartbeats ``DIR/workers/worker-NN
@@ -47,7 +46,7 @@ Liveness is observable while the farm runs: the coordinator maintains
 ``repro campaign serve --out DIR`` reads — see :func:`farm_status` for
 the exact fields. Farm counters (done/stolen/requeued, worker deaths)
 thread into the :class:`~repro.sim.telemetry.Telemetry` pipeline as a
-``"farm"`` section.
+``"farm"`` section via ``Campaign.run(..., telemetry=...)``.
 """
 
 from __future__ import annotations
@@ -59,34 +58,25 @@ import queue as queue_module
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Deque, Dict, List, Optional, Set
 
-from repro.experiments.runner import (
-    Job,
-    PointFailure,
-    ProgressFn,
-    SweepResult,
-    build_jobs,
-    collect_results,
-    run_point,
-)
-from repro.experiments.store import (
-    ResultStore,
-    config_hash,
-    merge_stores,
-)
+from repro.experiments.store import ResultStore
 from repro.metrics.summary import RunSummary
 
 #: Subdirectory of the farm root holding one ResultStore per shard.
 SHARDS_DIR = "shards"
 #: Subdirectory holding one heartbeat JSON file per worker.
 WORKERS_DIR = "workers"
-#: Coordinator state file (started_at, totals, progress, state).
+#: Run state file (started_at, totals, progress, state).
 FARM_STATE = "farm.json"
 
 #: A worker heartbeat older than this is reported dead by the serve
 #: endpoint even if its pid still exists (e.g. a stopped process).
 HEARTBEAT_STALE_S = 30.0
+
+#: How long the coordinator waits on the result queue before it checks
+#: worker liveness again.
+POLL_S = 0.2
 
 
 class FarmError(RuntimeError):
@@ -122,7 +112,11 @@ def existing_shard_dirs(root: str) -> List[str]:
 
 @dataclass
 class FarmCounters:
-    """Execution counters for one farm run (a telemetry section)."""
+    """Execution counters for one sweep run (a telemetry section).
+
+    Every run fills total, cached, done and failed; the stolen, requeued
+    and worker counts stay 0 unless the farm ran.
+    """
 
     points_total: int = 0
     points_cached: int = 0
@@ -144,6 +138,14 @@ class FarmCounters:
             "workers_spawned": self.workers_spawned,
             "workers_died": self.workers_died,
         }
+
+    def count(self, outcome) -> Optional[str]:
+        """Count one finished job; returns its error, or None if it ran."""
+        if isinstance(outcome, RunSummary):
+            self.points_done += 1
+            return None
+        self.points_failed += 1
+        return outcome.error
 
 
 def _write_json_atomic(path: str, payload: dict) -> None:
@@ -173,8 +175,12 @@ def _worker_main(worker_id: int, shard_dir: str, heartbeat_path: str,
     The shard-store append (fsynced) happens *before* the ack, so a
     worker killed between the two leaves a durable record; the
     coordinator requeues the lease and the re-run's identical record is
-    deduplicated by the merge.
+    deduplicated by the merge. The ack carries the job's outcome: its
+    ``RunSummary`` or its ``PointFailure``, traceback included.
     """
+    # The runner imports this module, so the worker resolves it late.
+    from repro.experiments.runner import record_outcome, run_job
+
     store = ResultStore(shard_dir)
     done = 0
     while True:
@@ -184,287 +190,155 @@ def _worker_main(worker_id: int, shard_dir: str, heartbeat_path: str,
             return
         job, job_hash = task
         _write_heartbeat(heartbeat_path, worker_id, done, "leased", job.key)
-        summary: Optional[RunSummary] = None
-        error: Optional[str] = None
-        attempts = 0
-        for attempt in range(1, retries + 2):
-            attempts = attempt
-            try:
-                summary = run_point(job.config)
-                break
-            except Exception as exc:  # captured, never fatal to the farm
-                error = f"{type(exc).__name__}: {exc}"
-        if summary is not None:
-            store.record_success(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, job_hash, summary)
-            error = None
-        else:
-            store.record_failure(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, job_hash, error=error or "unknown",
-                                 attempts=attempts)
+        outcome = run_job(job, retries)
+        record_outcome(store, job, job_hash, outcome)
         done += 1
         _write_heartbeat(heartbeat_path, worker_id, done, "idle", job.key)
-        result_queue.put((worker_id, job.key, summary, error, attempts))
+        result_queue.put((worker_id, job.key, outcome))
 
 
-class CampaignFarm:
-    """A sharded multi-process campaign over one farm directory.
+def run_farm(root, to_run, hashes, n_workers, retries, progress, total,
+             done_offset, outcomes, counters, started_at) -> None:
+    """The coordinator loop: dispatch, steal, detect death, requeue.
 
-    ``out`` is the farm root; it doubles as the canonical merged
-    :class:`ResultStore`, so after :meth:`run` the directory works with
-    every store consumer unchanged (``repro campaign status --out``,
-    ``repro figure --from``, ``repro validate --from``).
+    Runs ``to_run`` across ``n_workers`` processes, each appending to
+    its own shard store under ``root``; every outcome lands in
+    ``outcomes`` (keyed by job key) and in ``counters``. Raises
+    :class:`FarmError` when every worker has died.
     """
+    os.makedirs(os.path.join(root, WORKERS_DIR), exist_ok=True)
+    dirs = shard_dirs(root, n_workers)
+    pending: List[Deque[tuple]] = [deque() for _ in range(n_workers)]
+    for job in to_run:
+        job_hash = hashes[job.key]
+        pending[shard_index(job_hash, n_workers)].append((job, job_hash))
 
-    def __init__(self, out: str):
-        self.store = ResultStore(out)
-        self.counters = FarmCounters()
-
-    @property
-    def path(self) -> str:
-        return self.store.directory
-
-    def __len__(self) -> int:
-        return len(self.store)
-
-    # ------------------------------------------------------------------
-    def run(
-        self,
-        protocols: Sequence[str],
-        scenarios: Sequence[str],
-        rates: Sequence[float],
-        seeds: Sequence[int],
-        make_config,
-        *,
-        workers: Optional[int] = None,
-        retries: int = 0,
-        progress: Optional[ProgressFn] = None,
-        manifest_extra: Optional[dict] = None,
-        telemetry=None,
-        poll_s: float = 0.2,
-    ) -> List[SweepResult]:
-        """Run (or resume) the matrix across ``workers`` processes.
-
-        Resume sources, in order: the canonical root store, then every
-        existing shard store (a dead worker's partial shard is replayed
-        here). Completed points are served as cached; everything else is
-        queued to its home shard, executed, merged, and aggregated.
-        ``telemetry`` (a :class:`~repro.sim.telemetry.Telemetry`) gets
-        the farm counters as a ``"farm"`` section.
-        """
-        jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
-        hashes = {job.key: config_hash(job.config) for job in jobs}
-        n_workers = max(1, min(workers or os.cpu_count() or 1,
-                               max(len(jobs), 1)))
-
-        manifest = {
-            "protocols": [str(p) for p in protocols],
-            "scenarios": [str(s) for s in scenarios],
-            "rates": [float(r) for r in rates],
-            "seeds": [int(s) for s in seeds],
-            "farm": {"workers": n_workers, "shards": n_workers},
-        }
-        manifest.update(manifest_extra or {})
-        self.store.write_manifest(manifest)
-
-        # -- resume: root store first, then every shard left on disk ----
-        cached: Dict[str, RunSummary] = {}
-        replay_stores = [ResultStore(d) for d in
-                         existing_shard_dirs(self.path)]
-        for job in jobs:
-            hit = self.store.get(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, hashes[job.key])
-            for source in replay_stores if hit is None else ():
-                hit = source.get(job.protocol, job.scenario, job.rate_pps,
-                                 job.seed, hashes[job.key])
-                if hit is not None:
-                    break
-            if hit is not None:
-                cached[job.key] = hit
-
-        counters = self.counters = FarmCounters(
-            points_total=len(jobs), points_cached=len(cached))
-        to_run = [job for job in jobs if job.key not in cached]
-        total = len(jobs)
-        done_offset = len(cached)
-        if progress is not None:
-            for done, key in enumerate(cached, start=1):
-                progress(done, total, key + " (cached)", None)
-
-        outcomes: Dict[str, object] = dict(cached)
-        started_at = time.time()
-        self._write_state("running", started_at, total, counters)
-
-        if to_run:
-            self._execute(to_run, hashes, n_workers, retries, progress,
-                          total, done_offset, outcomes, counters,
-                          started_at, poll_s)
-
-        # -- merge: fold every shard store into the canonical root ------
-        merged = merge_stores(
-            self.store,
-            [ResultStore(d) for d in existing_shard_dirs(self.path)],
+    ctx = multiprocessing.get_context()
+    result_queue = ctx.Queue()
+    task_queues = [ctx.Queue() for _ in range(n_workers)]
+    procs: Dict[int, object] = {}
+    heartbeat = {
+        i: os.path.join(root, WORKERS_DIR, f"worker-{i:02d}.json")
+        for i in range(n_workers)
+    }
+    for i in range(n_workers):
+        proc = ctx.Process(
+            target=_worker_main,
+            args=(i, dirs[i], heartbeat[i], task_queues[i],
+                  result_queue, retries),
+            daemon=True,
         )
-        self._write_state("done", started_at, total, counters,
-                          merged=merged)
-        if telemetry is not None:
-            telemetry.set_section("farm", counters.as_dict())
-        return collect_results(jobs, seeds, outcomes)
+        proc.start()
+        procs[i] = proc
+        counters.workers_spawned += 1
 
-    # ------------------------------------------------------------------
-    def _execute(self, to_run, hashes, n_workers, retries, progress,
-                 total, done_offset, outcomes, counters, started_at,
-                 poll_s) -> None:
-        """The coordinator loop: dispatch, steal, detect death, requeue."""
-        os.makedirs(os.path.join(self.path, WORKERS_DIR), exist_ok=True)
-        jobs_by_key = {job.key: job for job in to_run}
-        dirs = shard_dirs(self.path, n_workers)
-        pending: List[Deque[Tuple[Job, str]]] = [deque()
-                                                 for _ in range(n_workers)]
-        for job in to_run:
-            job_hash = hashes[job.key]
-            pending[shard_index(job_hash, n_workers)].append((job, job_hash))
+    leased: Dict[int, tuple] = {}
+    idle: Set[int] = set()
+    dead: Set[int] = set()
+    completed_keys: Set[str] = set()
+    last_state_write = time.time()
 
-        ctx = multiprocessing.get_context()
-        result_queue = ctx.Queue()
-        task_queues = [ctx.Queue() for _ in range(n_workers)]
-        procs: Dict[int, object] = {}
-        heartbeat = {
-            i: os.path.join(self.path, WORKERS_DIR, f"worker-{i:02d}.json")
-            for i in range(n_workers)
-        }
+    def next_task(worker_id: int):
+        """Home queue first; otherwise steal from the longest one."""
+        if pending[worker_id]:
+            return pending[worker_id].popleft()
+        richest = max(range(n_workers), key=lambda s: len(pending[s]))
+        if pending[richest]:
+            counters.points_stolen += 1
+            return pending[richest].pop()
+        return None
+
+    def dispatch(worker_id: int) -> None:
+        task = next_task(worker_id)
+        if task is None:
+            idle.add(worker_id)
+            return
+        leased[worker_id] = task
+        task_queues[worker_id].put(task)
+
+    def cancel_duplicate(key: str) -> None:
+        """Drop a still-queued requeue of an already-completed job
+        (the original worker's ack raced its death detection)."""
+        for shard_queue in pending:
+            for task in shard_queue:
+                if task[0].key == key:
+                    shard_queue.remove(task)
+                    return
+
+    try:
         for i in range(n_workers):
-            proc = ctx.Process(
-                target=_worker_main,
-                args=(i, dirs[i], heartbeat[i], task_queues[i],
-                      result_queue, retries),
-                daemon=True,
-            )
-            proc.start()
-            procs[i] = proc
-            counters.workers_spawned += 1
-
-        leased: Dict[int, Tuple[Job, str]] = {}
-        idle: Set[int] = set()
-        dead: Set[int] = set()
-        completed_keys: Set[str] = set()
-        last_state_write = time.time()
-
-        def next_task(worker_id: int):
-            """Home queue first; otherwise steal from the longest one."""
-            if pending[worker_id]:
-                return pending[worker_id].popleft()
-            richest = max(range(n_workers), key=lambda s: len(pending[s]))
-            if pending[richest]:
-                counters.points_stolen += 1
-                return pending[richest].pop()
-            return None
-
-        def dispatch(worker_id: int) -> None:
-            task = next_task(worker_id)
-            if task is None:
-                idle.add(worker_id)
-                return
-            leased[worker_id] = task
-            task_queues[worker_id].put(task)
-
-        def cancel_duplicate(key: str) -> None:
-            """Drop a still-queued requeue of an already-completed job
-            (the original worker's ack raced its death detection)."""
-            for shard_queue in pending:
-                for task in shard_queue:
-                    if task[0].key == key:
-                        shard_queue.remove(task)
-                        return
-
-        try:
-            for i in range(n_workers):
-                dispatch(i)
-            while len(completed_keys) < len(to_run):
-                try:
-                    message = result_queue.get(timeout=poll_s)
-                except queue_module.Empty:
-                    message = None
-                if message is not None:
-                    worker_id, key, summary, error, attempts = message
-                    task = leased.pop(worker_id, None)
-                    job = jobs_by_key[key]
-                    if summary is not None:
-                        outcomes[key] = summary
-                    else:
-                        outcomes[key] = PointFailure(
-                            protocol=job.protocol, scenario=job.scenario,
-                            rate_pps=job.rate_pps, seed=job.seed,
-                            error=error or "unknown",
-                            traceback="(see the worker's shard store)",
-                            attempts=attempts,
-                        )
-                    if key not in completed_keys:
-                        completed_keys.add(key)
-                        if summary is not None:
-                            counters.points_done += 1
-                        else:
-                            counters.points_failed += 1
-                        cancel_duplicate(key)
-                        if progress is not None:
-                            progress(done_offset + len(completed_keys),
-                                     total, key, error)
-                    if worker_id not in dead and task is not None:
-                        dispatch(worker_id)
-                # -- liveness: requeue the leases of dead workers -------
-                for worker_id, proc in procs.items():
-                    if worker_id in dead or proc.is_alive():
-                        continue
-                    dead.add(worker_id)
-                    counters.workers_died += 1
-                    task = leased.pop(worker_id, None)
-                    if task is not None and task[0].key not in completed_keys:
-                        counters.points_requeued += 1
-                        job, job_hash = task
-                        pending[shard_index(job_hash, n_workers)].appendleft(
-                            task)
-                        for w in sorted(idle - dead):
-                            idle.discard(w)
-                            dispatch(w)
-                alive = [w for w in procs if w not in dead]
-                if not alive and len(completed_keys) < len(to_run):
-                    raise FarmError(
-                        f"all {len(procs)} farm workers died with "
-                        f"{len(to_run) - len(completed_keys)} point(s) "
-                        f"unfinished; completed work is in the shard "
-                        f"stores — re-run to resume")
-                now = time.time()
-                if now - last_state_write >= 1.0:
-                    last_state_write = now
-                    self._write_state("running", started_at, total, counters)
-        finally:
+            dispatch(i)
+        while len(completed_keys) < len(to_run):
+            try:
+                message = result_queue.get(timeout=POLL_S)
+            except queue_module.Empty:
+                message = None
+            if message is not None:
+                worker_id, key, outcome = message
+                task = leased.pop(worker_id, None)
+                outcomes[key] = outcome
+                if key not in completed_keys:
+                    completed_keys.add(key)
+                    error = counters.count(outcome)
+                    cancel_duplicate(key)
+                    if progress is not None:
+                        progress(done_offset + len(completed_keys),
+                                 total, key, error)
+                if worker_id not in dead and task is not None:
+                    dispatch(worker_id)
+            # -- liveness: requeue the leases of dead workers -----------
             for worker_id, proc in procs.items():
-                if proc.is_alive():
-                    task_queues[worker_id].put(None)
-            for proc in procs.values():
+                if worker_id in dead or proc.is_alive():
+                    continue
+                dead.add(worker_id)
+                counters.workers_died += 1
+                task = leased.pop(worker_id, None)
+                if task is not None and task[0].key not in completed_keys:
+                    counters.points_requeued += 1
+                    pending[shard_index(task[1], n_workers)].appendleft(task)
+                    for w in sorted(idle - dead):
+                        idle.discard(w)
+                        dispatch(w)
+            alive = [w for w in procs if w not in dead]
+            if not alive and len(completed_keys) < len(to_run):
+                raise FarmError(
+                    f"all {len(procs)} farm workers died with "
+                    f"{len(to_run) - len(completed_keys)} point(s) "
+                    f"unfinished; completed work is in the shard "
+                    f"stores — re-run to resume")
+            now = time.time()
+            if now - last_state_write >= 1.0:
+                last_state_write = now
+                write_state(root, "running", started_at, total, counters)
+    finally:
+        for worker_id, proc in procs.items():
+            if proc.is_alive():
+                task_queues[worker_id].put(None)
+        for proc in procs.values():
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.terminate()
                 proc.join(timeout=5.0)
-                if proc.is_alive():
-                    proc.terminate()
-                    proc.join(timeout=5.0)
-            for q in task_queues + [result_queue]:
-                q.cancel_join_thread()
-                q.close()
+        for q in task_queues + [result_queue]:
+            q.cancel_join_thread()
+            q.close()
 
-    # ------------------------------------------------------------------
-    def _write_state(self, state: str, started_at: float, total: int,
-                     counters: FarmCounters, merged: Optional[dict] = None,
-                     ) -> None:
-        payload = {
-            "state": state,
-            "pid": os.getpid(),
-            "started_at": started_at,
-            "updated_at": time.time(),
-            "total": total,
-            "counters": counters.as_dict(),
-        }
-        if merged is not None:
-            payload["merged"] = merged
-        _write_json_atomic(os.path.join(self.path, FARM_STATE), payload)
+
+def write_state(root: str, state: str, started_at: float, total: int,
+                counters: FarmCounters, merged: Optional[dict] = None,
+                ) -> None:
+    """Write the coordinator state file ``root/farm.json``."""
+    payload = {
+        "state": state,
+        "pid": os.getpid(),
+        "started_at": started_at,
+        "updated_at": time.time(),
+        "total": total,
+        "counters": counters.as_dict(),
+    }
+    if merged is not None:
+        payload["merged"] = merged
+    _write_json_atomic(os.path.join(root, FARM_STATE), payload)
 
 
 # ---------------------------------------------------------------------------

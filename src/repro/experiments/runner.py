@@ -4,40 +4,51 @@ Ownership: this module owns **execution and aggregation** — turning a
 (protocols x scenarios x rates x seeds) matrix into per-point
 :class:`SweepResult` averages. Persistence lives in
 :mod:`repro.experiments.store` (the runner only *writes through* a store
-it is handed); workflow (manifest, resume, status) lives in
-:mod:`repro.experiments.campaign`.
+it is handed); workflow (manifest, status) lives in
+:mod:`repro.experiments.campaign`; the multi-process executor lives in
+:mod:`repro.experiments.farm`.
 
 A *point* is (protocol, scenario, rate); each point runs over several
 seeds (the paper: ten random placements, identical across protocols so
 the comparison is paired) and the summaries are averaged.
 
-Multiprocessing: each run is an independent process-safe function of its
-config, so ``run_sweep(..., workers=N)`` fans points x seeds over a
-process pool. Per the hpc guidance, runs are CPU-bound pure Python, so
+Execution: :func:`execute_jobs` is the one path every sweep takes —
+resume, execute, merge. ``workers <= 1`` runs the jobs serially in this
+process; ``workers > 1`` hands them to the campaign farm
+(:func:`repro.experiments.farm.run_farm`), whose worker processes each
+append to their own shard store. Runs are CPU-bound pure Python, so
 processes (not threads) are the right lever.
 
 Fault tolerance: paper-scale campaigns are hundreds of runs; one
-crashing seed must not void the other 479. Every job is submitted as its
-own future, a failure is captured as a :class:`PointFailure` naming the
-exact (protocol, scenario, rate, seed) that died (with its traceback),
-optionally retried, and the surviving seeds are still aggregated. Pass
-``strict=True`` to get the old fail-fast behavior instead.
+crashing seed must not void the other 479. A failure is captured as a
+:class:`PointFailure` naming the exact (protocol, scenario, rate, seed)
+that died (with its traceback), optionally retried, and the surviving
+seeds are still aggregated.
 
 Checkpointing: pass ``store=ResultStore(dir)`` and every finished job is
 appended to disk *as it completes* (success or captured failure), while
-jobs whose exact configuration hash is already stored are served from
-disk without simulating. Killing a sweep therefore costs only the
-in-flight jobs; re-invoking with the same arguments resumes.
+jobs whose exact configuration hash is already stored — in the store or
+in a shard store a farm worker left under it — are served from disk
+without simulating. Killing a sweep therefore costs only the in-flight
+jobs; re-invoking with the same arguments resumes.
 """
 
 from __future__ import annotations
 
+import contextlib
+import tempfile
+import time
 import traceback as _traceback
-from concurrent.futures import FIRST_COMPLETED, Future, ProcessPoolExecutor, wait
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.store import ResultStore, config_hash
+from repro.experiments.farm import (
+    FarmCounters,
+    existing_shard_dirs,
+    run_farm,
+    write_state,
+)
+from repro.experiments.store import ResultStore, config_hash, merge_stores
 from repro.metrics.summary import RunSummary
 from repro.world.network import ScenarioConfig, build_network
 
@@ -141,10 +152,6 @@ class Job:
         return f"{self.protocol}|{self.scenario}|{self.rate_pps}|{self.seed}"
 
 
-#: Backwards-compatible alias (Job was private before the farm needed it).
-_Job = Job
-
-
 def build_jobs(
     protocols: Sequence[str],
     scenarios: Sequence[str],
@@ -196,13 +203,8 @@ def collect_results(
 #: Progress callback: (done, total, job_key, error_or_None).
 ProgressFn = Callable[[int, int, str, Optional[str]], None]
 
-#: Completion hook: called with (job, RunSummary | PointFailure) the
-#: moment a job's outcome is final (after retries). The store
-#: write-through path; runs in the submitting process.
-ResultFn = Callable[["_Job", object], None]
 
-
-def _failure(job: _Job, exc: BaseException, attempts: int) -> PointFailure:
+def _failure(job: Job, exc: BaseException, attempts: int) -> PointFailure:
     return PointFailure(
         protocol=job.protocol,
         scenario=job.scenario,
@@ -216,68 +218,96 @@ def _failure(job: _Job, exc: BaseException, attempts: int) -> PointFailure:
     )
 
 
-def _run_serial(
-    jobs: Sequence[_Job],
-    retries: int,
-    strict: bool,
-    progress: Optional[ProgressFn],
-    on_result: Optional[ResultFn] = None,
-) -> Dict[str, object]:
-    outcomes: Dict[str, object] = {}
-    for done, job in enumerate(jobs, start=1):
-        for attempt in range(1, retries + 2):
-            try:
-                outcomes[job.key] = run_point(job.config)
-                break
-            except Exception as exc:
-                if strict:
-                    raise
-                outcomes[job.key] = _failure(job, exc, attempt)
-        result = outcomes[job.key]
-        if on_result is not None:
-            on_result(job, result)
-        if progress is not None:
-            error = result.error if isinstance(result, PointFailure) else None
-            progress(done, len(jobs), job.key, error)
-    return outcomes
+def run_job(job: Job, retries: int):
+    """Run one job, retrying up to ``retries`` extra times; returns its
+    ``RunSummary`` or the last attempt's :class:`PointFailure`."""
+    for attempt in range(1, retries + 2):
+        try:
+            return run_point(job.config)
+        except Exception as exc:
+            failure = _failure(job, exc, attempt)
+    return failure
 
 
-def _run_parallel(
-    jobs: Sequence[_Job],
+def record_outcome(store: ResultStore, job: Job, job_hash: str,
+                   outcome) -> None:
+    """Append one job's final outcome (summary or failure) to ``store``."""
+    if isinstance(outcome, PointFailure):
+        store.record_failure(job.protocol, job.scenario, job.rate_pps,
+                             job.seed, job_hash, error=outcome.error,
+                             attempts=outcome.attempts)
+    else:
+        store.record_success(job.protocol, job.scenario, job.rate_pps,
+                             job.seed, job_hash, outcome)
+
+
+def execute_jobs(
+    jobs: Sequence[Job],
     workers: int,
     retries: int,
-    strict: bool,
     progress: Optional[ProgressFn],
-    on_result: Optional[ResultFn] = None,
-) -> Dict[str, object]:
-    outcomes: Dict[str, object] = {}
-    done = 0
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        pending: Dict[Future, Tuple[_Job, int]] = {
-            pool.submit(run_point, job.config): (job, 1) for job in jobs
-        }
-        while pending:
-            finished, _ = wait(pending, return_when=FIRST_COMPLETED)
-            for future in finished:
-                job, attempt = pending.pop(future)
-                exc = future.exception()
-                if exc is None:
-                    outcomes[job.key] = future.result()
-                elif strict:
-                    raise exc
-                elif attempt <= retries:
-                    pending[pool.submit(run_point, job.config)] = (job, attempt + 1)
-                    continue
-                else:
-                    outcomes[job.key] = _failure(job, exc, attempt)
-                done += 1
-                if on_result is not None:
-                    on_result(job, outcomes[job.key])
-                if progress is not None:
-                    result = outcomes[job.key]
-                    error = result.error if isinstance(result, PointFailure) else None
-                    progress(done, len(jobs), job.key, error)
-    return outcomes
+    store: Optional[ResultStore],
+) -> Tuple[Dict[str, object], FarmCounters]:
+    """Resume, execute and merge a sweep's jobs.
+
+    Returns every job's outcome (``RunSummary`` or ``PointFailure``,
+    keyed by :attr:`Job.key`) and the run's counters. With a ``store``,
+    completed points are served from it and from every shard store under
+    its directory (a dead farm worker's partial shard replays here); the
+    rest run serially (``workers <= 1``) or on the farm (``workers > 1``,
+    shards under the store's directory, or under a temporary directory
+    removed on return), and the shard stores are finally merged into
+    ``store``. Progress reports the cached jobs first, then one call per
+    finished job.
+    """
+    if retries < 0:
+        raise ValueError(f"retries must be >= 0, got {retries}")
+    hashes = {job.key: config_hash(job.config) for job in jobs}
+    cached: Dict[str, RunSummary] = {}
+    if store is not None:
+        sources = [store] + [ResultStore(d) for d in
+                             existing_shard_dirs(store.directory)]
+        for job in jobs:
+            for source in sources:
+                hit = source.get(job.protocol, job.scenario, job.rate_pps,
+                                 job.seed, hashes[job.key])
+                if hit is not None:
+                    cached[job.key] = hit
+                    break
+
+    total = len(jobs)
+    counters = FarmCounters(points_total=total, points_cached=len(cached))
+    if progress is not None:
+        for done, key in enumerate(cached, start=1):
+            progress(done, total, key + " (cached)", None)
+    outcomes: Dict[str, object] = dict(cached)
+    to_run = [job for job in jobs if job.key not in cached]
+    started_at = time.time()
+    if store is not None:
+        write_state(store.directory, "running", started_at, total, counters)
+
+    if workers > 1 and to_run:
+        root = (contextlib.nullcontext(store.directory) if store is not None
+                else tempfile.TemporaryDirectory(prefix="repro-farm-"))
+        with root as directory:
+            run_farm(directory, to_run, hashes, min(workers, total), retries,
+                     progress, total, len(cached), outcomes, counters,
+                     started_at)
+    else:
+        for done, job in enumerate(to_run, start=len(cached) + 1):
+            outcome = outcomes[job.key] = run_job(job, retries)
+            if store is not None:
+                record_outcome(store, job, hashes[job.key], outcome)
+            error = counters.count(outcome)
+            if progress is not None:
+                progress(done, total, job.key, error)
+
+    if store is not None:
+        merged = merge_stores(store, [ResultStore(d) for d in
+                                      existing_shard_dirs(store.directory)])
+        write_state(store.directory, "done", started_at, total, counters,
+                    merged=merged)
+    return outcomes, counters
 
 
 def run_sweep(
@@ -289,25 +319,21 @@ def run_sweep(
     workers: int = 0,
     *,
     retries: int = 0,
-    strict: bool = False,
     progress: Optional[ProgressFn] = None,
     store: Optional[ResultStore] = None,
 ) -> List[SweepResult]:
     """Run the full matrix and aggregate per point.
 
     ``make_config(protocol, scenario, rate, seed) -> ScenarioConfig`` lets
-    callers choose paper-scale or bench-scale runs. ``workers > 1`` uses a
-    process pool with one future per job, so one crashing run never aborts
-    the rest of the matrix.
+    callers choose paper-scale or bench-scale runs. ``workers > 1`` runs
+    the jobs on the campaign farm's worker processes; one crashing run
+    never aborts the rest of the matrix either way.
 
     Parameters
     ----------
     retries:
         Re-run a failed job up to this many extra times before recording
-        it as a :class:`PointFailure`.
-    strict:
-        Re-raise the first failure instead of capturing it (the pre-
-        fault-tolerance behavior).
+        it as a :class:`PointFailure` (must be >= 0).
     progress:
         Called after every finished job as ``progress(done, total,
         job_key, error_or_None)`` -- e.g. for live console reporting.
@@ -320,43 +346,8 @@ def run_sweep(
         interrupted sweep loses only its in-flight jobs.
     """
     jobs = build_jobs(protocols, scenarios, rates, seeds, make_config)
-
-    cached: Dict[str, RunSummary] = {}
-    on_result: Optional[ResultFn] = None
-    run_progress = progress
-    if store is not None:
-        hashes = {job.key: config_hash(job.config) for job in jobs}
-        for job in jobs:
-            hit = store.get(job.protocol, job.scenario, job.rate_pps,
-                            job.seed, hashes[job.key])
-            if hit is not None:
-                cached[job.key] = hit
-        if progress is not None:
-            for done, key in enumerate(cached, start=1):
-                progress(done, len(jobs), key + " (cached)", None)
-            base, total = len(cached), len(jobs)
-
-            def run_progress(done, _pending_total, key, error,
-                             _base=base, _total=total):
-                progress(_base + done, _total, key, error)
-
-        def on_result(job, outcome):
-            if isinstance(outcome, RunSummary):
-                store.record_success(job.protocol, job.scenario, job.rate_pps,
-                                     job.seed, hashes[job.key], outcome)
-            else:
-                store.record_failure(job.protocol, job.scenario, job.rate_pps,
-                                     job.seed, hashes[job.key],
-                                     error=outcome.error,
-                                     attempts=outcome.attempts)
-
-    to_run = [job for job in jobs if job.key not in cached]
-    if workers and workers > 1:
-        outcomes = _run_parallel(to_run, workers, retries, strict,
-                                 run_progress, on_result)
-    else:
-        outcomes = _run_serial(to_run, retries, strict, run_progress, on_result)
-    outcomes.update(cached)
+    outcomes, _counters = execute_jobs(jobs, workers, retries, progress,
+                                       store)
     return collect_results(jobs, seeds, outcomes)
 
 

@@ -1,9 +1,9 @@
 """The campaign farm: shard merge semantics, crash recovery, status.
 
-The acceptance bar (ISSUE 8 / ROADMAP "heavy traffic"): a farmed — even
-killed-and-resumed — campaign must produce a merged store bit-identical
-per point (``config_hash`` + ``RunSummary`` dict) to a single-process
-``campaign run`` of the same spec.
+The farm is what ``Campaign.run(..., workers > 1)`` executes on. The
+acceptance bar: a farmed — even killed-and-resumed — campaign must
+produce a merged store bit-identical per point (``config_hash`` +
+``RunSummary`` dict) to a serial ``Campaign.run`` of the same spec.
 """
 
 import json
@@ -19,7 +19,6 @@ from repro.experiments.campaign import Campaign
 from repro.experiments.farm import (
     SHARDS_DIR,
     WORKERS_DIR,
-    CampaignFarm,
     farm_status,
     make_status_server,
     render_farm_status,
@@ -131,14 +130,14 @@ def test_merge_tolerates_truncated_shard_tail(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# CampaignFarm
+# Campaign.run(workers=2): the farm
 # ---------------------------------------------------------------------------
 
 def test_farm_bit_identical_to_unsharded_campaign(tmp_path):
     reference_results = Campaign(str(tmp_path / "reference")).run(
         *MATRIX, tiny_config)
 
-    farm = CampaignFarm(str(tmp_path / "farm"))
+    farm = Campaign(str(tmp_path / "farm"))
     telemetry = Telemetry()
     results = farm.run(*MATRIX, tiny_config, workers=2, telemetry=telemetry)
 
@@ -164,8 +163,8 @@ def test_farm_bit_identical_to_unsharded_campaign(tmp_path):
 
 def test_farm_resume_serves_everything_cached(tmp_path):
     path = str(tmp_path / "farm")
-    CampaignFarm(path).run(*MATRIX, tiny_config, workers=2)
-    farm = CampaignFarm(path)
+    Campaign(path).run(*MATRIX, tiny_config, workers=2)
+    farm = Campaign(path)
     progress = []
     farm.run(*MATRIX, tiny_config, workers=2,
              progress=lambda done, total, key, err:
@@ -186,12 +185,34 @@ def test_farm_replays_partial_shard_of_dead_worker(tmp_path):
     shard.record_success("rmac", "stationary", 10, 1,
                          config_hash(config), run_point(config))
 
-    farm = CampaignFarm(root)
+    farm = Campaign(root)
     farm.run(*MATRIX, tiny_config, workers=2)
     assert farm.counters.points_cached == 1
     assert farm.counters.points_done == 3
     # The replayed point made it into the canonical merged store.
     assert ("rmac", "stationary", 10.0, 1) in ResultStore(root)
+
+
+def test_serial_run_replays_and_merges_dead_worker_shard(tmp_path):
+    """A serial run over a farm directory resumes from its shards too."""
+    root = str(tmp_path / "farm")
+    config = tiny_config("rmac", "stationary", 10, 1)
+    shard = ResultStore(os.path.join(root, SHARDS_DIR, shard_name(0)))
+    shard.record_success("rmac", "stationary", 10, 1,
+                         config_hash(config), run_point(config))
+
+    campaign = Campaign(root)
+    progress = []
+    campaign.run(*MATRIX, tiny_config,
+                 progress=lambda done, total, key, err: progress.append(key))
+    assert campaign.counters.points_cached == 1
+    assert campaign.counters.points_done == 3
+    assert campaign.counters.workers_spawned == 0
+    assert progress[0] == "rmac|stationary|10|1 (cached)"
+    # The shard's record was merged into the canonical root store.
+    key = ("rmac", "stationary", 10.0, 1)
+    assert key in campaign.store and key in ResultStore(root)
+    assert ResultStore(root)._records[key] == shard._records[key]
 
 
 def test_farm_captures_point_failures(tmp_path):
@@ -202,7 +223,7 @@ def test_farm_captures_point_failures(tmp_path):
             config = config.variant(protocol="no-such-mac")
         return config
 
-    farm = CampaignFarm(str(tmp_path / "farm"))
+    farm = Campaign(str(tmp_path / "farm"))
     results = farm.run(["rmac"], ["stationary"], [10], [1, 2], half_broken,
                        workers=2, retries=1)
     assert farm.counters.points_done == 1 and farm.counters.points_failed == 1
@@ -210,6 +231,8 @@ def test_farm_captures_point_failures(tmp_path):
     (failure,) = results[0].failures
     assert failure.seed == 2 and "no-such-mac" in failure.error
     assert failure.attempts == 2    # --retries honoured inside the worker
+    # The worker ships the real traceback back to the coordinator.
+    assert "build_network" in failure.traceback
     # The failure is persisted (and re-runs on resume, like a campaign's).
     store = ResultStore(str(tmp_path / "farm"))
     assert len(store.failures()) == 1
@@ -256,7 +279,7 @@ def test_sigkilled_worker_requeues_lease_and_farm_completes(tmp_path):
         *KILL_MATRIX, slow_config)
 
     root = str(tmp_path / "farm")
-    farm = CampaignFarm(root)
+    farm = Campaign(root)
     killed = []
     assassin = threading.Thread(
         target=_assassinate_first_leased_worker, args=(root, killed))
@@ -290,7 +313,7 @@ def test_sigkilled_worker_requeues_lease_and_farm_completes(tmp_path):
 
 def test_farm_status_fields_and_rendering(tmp_path):
     root = str(tmp_path / "farm")
-    CampaignFarm(root).run(*MATRIX, tiny_config, workers=2)
+    Campaign(root).run(*MATRIX, tiny_config, workers=2)
     status = farm_status(root)
     assert status["state"] == "done"
     assert status["total"] == 4 and status["done"] == 4
@@ -311,7 +334,7 @@ def test_shard_assignment_is_deterministic():
 
 def test_serve_endpoint(tmp_path):
     root = str(tmp_path / "farm")
-    CampaignFarm(root).run(*MATRIX, tiny_config, workers=2)
+    Campaign(root).run(*MATRIX, tiny_config, workers=2)
     server = make_status_server(root, host="127.0.0.1", port=0)
     thread = threading.Thread(target=server.serve_forever, daemon=True)
     thread.start()

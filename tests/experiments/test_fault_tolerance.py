@@ -48,6 +48,7 @@ def test_parallel_crashing_seed_keeps_survivors():
     point = results[0]
     assert point.n_seeds == 2
     assert [f.seed for f in point.failures] == [2]
+    assert "build_network" in point.failures[0].traceback
 
 
 def test_parallel_and_serial_survivor_values_match():
@@ -68,10 +69,10 @@ def test_all_seeds_crashing_yields_empty_point():
     assert len(point.failures) == 2
 
 
-def test_strict_mode_reraises():
-    with pytest.raises(ValueError):
-        run_sweep(["rmac"], ["stationary"], [10], [1, 2],
-                  _make_config(crash_seeds={2}), strict=True)
+def test_negative_retries_rejected():
+    with pytest.raises(ValueError, match="retries must be >= 0"):
+        run_sweep(["rmac"], ["stationary"], [10], [1],
+                  _make_config(), retries=-1)
 
 
 def test_retries_are_counted():

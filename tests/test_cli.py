@@ -315,3 +315,37 @@ def test_campaign_run_sinr_manifest_and_resume(capsys, tmp_path, monkeypatch):
                  "--protocols", "rmac", "--sinr", "shadowing"])
     assert code == 0
     assert "(cached)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("flag", ["--retries", "--workers"])
+@pytest.mark.parametrize("command", [
+    ["figure", "fig7"],
+    ["validate"],
+    ["campaign", "run", "--out", "unused"],
+    ["campaign", "farm", "--out", "unused"],
+], ids=["figure", "validate", "campaign-run", "campaign-farm"])
+def test_sweep_commands_reject_negative_counts(capsys, command, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(command + [flag, "-1"])
+    assert excinfo.value.code == 2
+    assert "must be >= 0, got -1" in capsys.readouterr().err
+
+
+def test_campaign_run_workers_store_matches_serial(capsys, tmp_path,
+                                                   monkeypatch):
+    import repro.cli as cli
+    from repro.experiments.store import ResultStore
+
+    monkeypatch.setitem(cli.FIGURE_SCALES, "small", (10, 4, (10,), (1,)))
+    serial, farmed = tmp_path / "serial", tmp_path / "farmed"
+    for store, extra in ((serial, []), (farmed, ["--workers", "2"])):
+        code = main(["campaign", "run", "--out", str(store), "--scale",
+                     "small", "--protocols", "rmac", *extra])
+        assert code == 0
+        assert "(3 points)" in capsys.readouterr().out
+    # The parallel run went through the farm's shard stores...
+    assert (farmed / "shards").is_dir()
+    # ...and merged into records bit-identical to the serial run's.
+    farmed_records = dict(ResultStore(str(farmed), create=False).records())
+    serial_records = dict(ResultStore(str(serial), create=False).records())
+    assert farmed_records == serial_records

@@ -116,7 +116,7 @@ A module: `repro.experiments.farm`. An attribute walked from it:
 `repro.analysis.validation`.
 
 ```python
-from repro.experiments import CampaignFarm
+from repro.experiments import Campaign
 status = repro.experiments.farm.farm_status("store")
 ```
 """

@@ -10,7 +10,11 @@ Runs each committed scenario once and compares it with its entry in
 * the **trace stream** matches -- the tracer feeds a streaming SHA-256
   over the JSONL rendering of every emitted event, so the comparison
   covers the exact sequence of protocol-level actions (state changes,
-  tx/rx, tones, drops) without holding a million-event trace in memory.
+  tx/rx, tones, drops) without holding a million-event trace in memory;
+* every **node's own stream** matches -- ``node_trace_sha256`` hashes
+  each node's events separately and then the per-node digests in id
+  order, so it ignores how same-instant events of *different* nodes
+  interleave but still pins each node's sequence exactly.
 
 Scenarios:
 
@@ -20,6 +24,11 @@ Scenarios:
   link tables are rebuilt per position bucket at a small node count;
 * ``sinr-40``   -- the same field, static, under the SINR shadowing
   profile (power-domain link tables);
+* ``bmw-40``, ``lbp-40``, ``lamm-40``, ``mx-40`` -- the ``bmmm-40``
+  field at 60 packets under each other 802.11-family baseline, so every
+  MAC built on ``Dot11Base`` is pinned. Plain ``dot11`` cannot run the
+  multicast tree (it rejects reliable multicast with ``ValueError``), so
+  its unit tests cover it instead;
 * ``waypoint-1000`` -- the 1000-node random-waypoint scaling point.
   Skipped under ``--quick``.
 
@@ -63,25 +72,39 @@ SCENARIOS = {
     "sinr-40": dict(protocol="rmac", n_nodes=40, width=360.0, height=220.0,
                     rate_pps=20.0, n_packets=60, seed=4,
                     sinr=sinr_preset("shadowing")),
+    "bmw-40": dict(protocol="bmw", n_nodes=40, width=360.0, height=220.0,
+                   rate_pps=20.0, n_packets=60, seed=3),
+    "lbp-40": dict(protocol="lbp", n_nodes=40, width=360.0, height=220.0,
+                   rate_pps=20.0, n_packets=60, seed=3),
+    "lamm-40": dict(protocol="lamm", n_nodes=40, width=360.0, height=220.0,
+                    rate_pps=20.0, n_packets=60, seed=3),
+    "mx-40": dict(protocol="mx", n_nodes=40, width=360.0, height=220.0,
+                  rate_pps=20.0, n_packets=60, seed=3),
     "waypoint-1000": dict(protocol="rmac", n_nodes=1000, width=1600.0,
                           height=1000.0, mobile=True, rate_pps=2.0,
                           n_packets=6, warmup_s=2.0, drain_s=2.0, seed=1),
 }
 
 #: Fingerprint fields compared besides the metrics.
-COUNTERS = ("events", "trace_events", "trace_sha256")
+COUNTERS = ("events", "trace_events", "trace_sha256", "node_trace_sha256")
 
 
 class HashBuffer(TraceBuffer):
-    """Streams every trace event into a SHA-256; keeps nothing."""
+    """Streams every trace event into a SHA-256 of the whole stream and
+    one SHA-256 per node; keeps nothing."""
 
     def __init__(self) -> None:
         self._hash = hashlib.sha256()
+        self._node_hashes: dict = {}
         self._count = 0
 
     def append(self, event: TraceEvent) -> None:
-        self._hash.update(event.to_json().encode())
-        self._hash.update(b"\n")
+        line = event.to_json().encode() + b"\n"
+        self._hash.update(line)
+        node_hash = self._node_hashes.get(event.node)
+        if node_hash is None:
+            node_hash = self._node_hashes[event.node] = hashlib.sha256()
+        node_hash.update(line)
         self._count += 1
 
     def snapshot(self):
@@ -93,6 +116,15 @@ class HashBuffer(TraceBuffer):
     @property
     def digest(self) -> str:
         return self._hash.hexdigest()
+
+    @property
+    def node_digest(self) -> str:
+        """SHA-256 over ``"<node> <sha256 of its stream>"`` lines, by id."""
+        outer = hashlib.sha256()
+        for node in sorted(self._node_hashes):
+            outer.update(f"{node} {self._node_hashes[node].hexdigest()}\n"
+                         .encode())
+        return outer.hexdigest()
 
 
 def run_one(name: str) -> dict:
@@ -107,6 +139,7 @@ def run_one(name: str) -> dict:
         "events": network.sim.events_processed,
         "trace_events": len(buffer),
         "trace_sha256": buffer.digest,
+        "node_trace_sha256": buffer.node_digest,
     }
 
 

@@ -32,13 +32,13 @@ from repro.core.config import RmacConfig
 from repro.core.mrts import build_mrts, split_receivers
 from repro.core.states import RmacState, valid_transition
 from repro.mac.addresses import BROADCAST, MULTICAST_FLAG
-from repro.mac.backoff import Backoff
+from repro.mac.backoff import Backoff, SlottedCountdown
 from repro.mac.base import MacProtocol, SendRequest
 from repro.mac.frames import DataFrame, MrtsFrame
 from repro.phy.busytone import ToneType
 from repro.phy.channel import Transmission
 from repro.phy.radio import Radio
-from repro.sim.engine import EventHandle, FastEvent, Simulator
+from repro.sim.engine import EventHandle, Simulator
 from repro.sim.timers import Timer
 from repro.sim.trace import NULL_TRACER, Tracer
 
@@ -70,27 +70,6 @@ class _ReliableTransaction:
         return self.chunk_index >= len(self.chunks)
 
 
-class _PumpEvent(FastEvent):
-    """The reusable backoff-pump tick (one per node, never cancelled).
-
-    The per-slot countdown is the most frequent event in a paper-scale
-    run; recycling a single fire-and-forget event through
-    ``Simulator.schedule_fast`` makes each tick allocation-free (no
-    EventHandle, no closure). At most one is in flight per node,
-    guarded by ``RmacProtocol._pump_scheduled``.
-    """
-
-    __slots__ = ("mac",)
-
-    label = "rmac-pump"
-
-    def __init__(self, mac: "RmacProtocol"):
-        self.mac = mac
-
-    def __call__(self) -> None:
-        self.mac._tick()
-
-
 class RmacProtocol(MacProtocol):
     """RMAC: reliable + unreliable send over busy tones."""
 
@@ -115,7 +94,7 @@ class RmacProtocol(MacProtocol):
             tracer=tracer,
         )
         phy = self.config.phy
-        #: Slot duration (ns), cached off the config chain for the pump.
+        #: Slot duration (ns), cached off the config chain.
         self._slot_time = phy.slot_time
         self.state = RmacState.IDLE
         self.backoff = Backoff(rng, phy.cw_min, phy.cw_max)
@@ -135,12 +114,12 @@ class RmacProtocol(MacProtocol):
         self._twf_rdata = Timer(sim, self._on_twf_rdata_expired, "Twf_rdata")
         self._twf_rbt = Timer(sim, self._on_twf_rbt_expired, "Twf_rbt")
 
-        #: One reusable pump event (never cancelled, at most one in
-        #: flight -- guarded by ``_pump_scheduled``), so the per-slot
-        #: countdown schedules with zero allocations.
-        self._pump_event = _PumpEvent(self)
-        self._pump_scheduled = False
-        #: Raw sensing maps (see Radio.sense_maps): the pump senses both
+        #: The slotted countdown: runs _tick at the boundaries where it
+        #: can change something, woken by data-busy and RBT-present hooks.
+        self._countdown = SlottedCountdown(
+            sim, self.backoff, phy.slot_time, node_id, self._tick,
+            radio.busy_hooks(ToneType.RBT), "rmac-pump")
+        #: Raw sensing maps (see Radio.sense_maps): the tick senses both
         #: channels with dict lookups instead of four method calls.
         self._busy_map, self._tx_map, self._rbt_map = radio.sense_maps(ToneType.RBT)
         self._idle_wait_pending = False
@@ -173,10 +152,10 @@ class RmacProtocol(MacProtocol):
         return self._txn is not None or bool(self.queue)
 
     # ==================================================================
-    # The backoff pump (Section 3.3.1)
+    # The backoff countdown (Section 3.3.1)
     # ==================================================================
     def _kick(self) -> None:
-        if not self._pump_scheduled and self.state in (RmacState.IDLE, RmacState.BACKOFF):
+        if not self._countdown.scheduled and self.state in (RmacState.IDLE, RmacState.BACKOFF):
             # Backoff condition (1): "a node has a packet to transmit, but
             # either data or RBT channel is busy" invokes the backoff
             # procedure, i.e. draws a fresh BI. A zero idle duration means
@@ -190,24 +169,16 @@ class RmacProtocol(MacProtocol):
                 self.backoff.draw()
             # C1/C10 allow an immediate transmission when BI is 0 and the
             # channels are idle, so the first tick runs now, not a slot later.
-            self._pump_scheduled = True
-            sim = self.sim
-            sim.schedule_fast(sim.now, self._pump_event)
-
-    def _ensure_pump(self, delay: int) -> None:
-        if not self._pump_scheduled:
-            self._pump_scheduled = True
-            sim = self.sim
-            sim.schedule_fast(sim.now + delay, self._pump_event)
+            self._countdown.schedule(0)
 
     def _tick(self) -> None:
-        self._pump_scheduled = False
+        """One slot-boundary step; the countdown decides when it runs."""
         state = self.state
         if state is not RmacState.IDLE and state is not RmacState.BACKOFF:
-            return  # a transaction owns the node; it will resume the pump
-        # _channels_idle() inlined: the pump fires every 20 us slot and
-        # the call overhead exceeds the three map probes. Tests cripple a
-        # node's sensing by swapping the instance's map references (see
+            return  # a transaction owns the node; it will resume the countdown
+        # _channels_idle() inlined: the call overhead exceeds the three
+        # map probes. Tests cripple a node's sensing by swapping the
+        # instance's map references (see
         # test_without_suppression_hidden_node_collides), which this
         # inline honors just like the method does.
         node = self.node_id
@@ -228,10 +199,7 @@ class RmacProtocol(MacProtocol):
                 if self.state is not RmacState.IDLE:  # may have just entered BACKOFF
                     self._set_state(RmacState.IDLE)  # C9: nothing to send
                 return
-            if not self._pump_scheduled:
-                self._pump_scheduled = True
-                sim = self.sim
-                sim.schedule_fast(sim.now + self._slot_time, self._pump_event)
+            self._countdown.next_slot()
         else:
             if state is not RmacState.IDLE:
                 self._set_state(RmacState.IDLE)  # C9: suspended, BI kept
@@ -254,13 +222,13 @@ class RmacProtocol(MacProtocol):
             )
 
     def _on_channel_cleared(self) -> None:
-        # One of the two channels cleared; re-run the pump a slot later --
-        # the tick re-checks both and re-waits if the other is still busy.
+        # One of the two channels cleared; tick again a slot later -- the
+        # tick re-checks both and re-waits if the other is still busy.
         self._idle_wait_pending = False
         if self.state in (RmacState.IDLE, RmacState.BACKOFF) and (
             self.backoff.bi > 0 or self._has_work()
         ):
-            self._ensure_pump(self._slot_time)
+            self._countdown.schedule(self._slot_time)
 
     def _enter_contention(self, draw: bool) -> None:
         """Return to IDLE/BACKOFF, optionally invoking the backoff draw."""
@@ -271,10 +239,10 @@ class RmacProtocol(MacProtocol):
         else:
             self._set_state(RmacState.IDLE)
         if self.backoff.bi > 0 or self._has_work():
-            self._ensure_pump(self._slot_time)
+            self._countdown.schedule(self._slot_time)
 
     # ==================================================================
-    # Transmission start (pump reached BI == 0 with work queued)
+    # Transmission start (countdown reached BI == 0 with work queued)
     # ==================================================================
     def _start_transmission(self) -> None:
         if self._txn is None:

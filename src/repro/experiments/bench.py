@@ -6,8 +6,9 @@ not use the sweep runner or the result store: a benchmark wants
 identical, unresumed, freshly-timed runs every time, where a campaign
 wants to skip everything it already knows.
 
-A fixed sweep of paper-scale scenarios measured for event-loop
-throughput, with the result committed to the repository as
+A fixed sweep of paper-scale scenarios timed end to end (wall seconds
+per fixed scenario, with event counts and events/sec reported
+alongside), with the result committed to the repository as
 ``benchmarks/BENCH_<rev>.json``. Each PR that touches the kernel or the
 PHY re-runs the sweep and compares against the committed baseline, so
 "make the hot path faster" (the ROADMAP's north star) is a measured
@@ -21,9 +22,9 @@ Three tiers:
 * **smoke** -- a 12-node run (~13k events) finishing in well under a
   second, plus a same-scale ``sinr-shadowing`` companion through the
   SINR interference subsystem; cheap enough for CI on every push. CI
-  compares events/sec against the committed baseline with a generous
-  regression threshold (wall-clock on shared runners is noisy), which
-  also fails the build if SINR work slows the threshold path.
+  compares each point's wall time against the committed baseline with a
+  generous regression threshold (wall-clock on shared runners is noisy),
+  which also fails the build if SINR work slows the threshold path.
 * **large** -- the scaling tier (200/500/1000 nodes, static + random
   waypoint), a ``sinr-500`` point measuring accumulated-power
   reception under shadowing at 500 nodes, plus ``neighbor-rebuild``
@@ -330,7 +331,7 @@ def _run_kernel_point(point: dict) -> dict:
     The workload mirrors the simulator's real timing structure:
 
     * 64 self-rescheduling ticks at the 20 us slot quantum with small
-      per-"node" phase skews (the MAC backoff pumps);
+      per-"node" phase skews (modelled on per-slot MAC backoff polling);
     * every 16th tick, an 8-way ``schedule_many`` fan-out at
       millisecond-scale offsets (the PHY arrival fan-out);
     * every 32nd tick, a cancellable timer, half of them cancelled
@@ -462,8 +463,11 @@ def compare(report: dict, baseline: dict,
     """Compare ``report`` against a committed ``baseline``.
 
     Returns ``(ok, lines)``. The run **fails** (ok=False) when a point
-    present in both sweeps lost more than ``max_regression`` of its
-    events/sec. Metric drift on matching points is *reported* but does
+    present in both sweeps took more than ``1 + max_regression`` times
+    its baseline wall time. The gate is wall time for a fixed scenario,
+    not events/sec: a change that removes cheap events on purpose lowers
+    events/sec while making the run faster. Event counts are reported
+    alongside. Metric drift on matching points is *reported* but does
     not fail the comparison here -- it means behavior changed, which a
     benchmark threshold is the wrong tool to police (the tier-1 suite
     owns correctness); it still deserves a loud line in the output.
@@ -480,12 +484,13 @@ def compare(report: dict, baseline: dict,
         if base is None:
             lines.append(f"{label}: no baseline point (new)")
             continue
-        old_eps, new_eps = base.get("eps") or 0.0, point.get("eps") or 0.0
-        if old_eps > 0:
-            ratio = new_eps / old_eps
-            line = (f"{label}: {new_eps:,.0f} ev/s vs baseline "
-                    f"{old_eps:,.0f} ({ratio:.2f}x)")
-            if ratio < 1.0 - max_regression:
+        old_wall, new_wall = base.get("wall_s") or 0.0, point.get("wall_s") or 0.0
+        if old_wall > 0:
+            ratio = new_wall / old_wall
+            line = (f"{label}: {new_wall:.3f}s wall vs baseline "
+                    f"{old_wall:.3f}s ({ratio:.2f}x); "
+                    f"{point.get('events')} events vs {base.get('events')}")
+            if ratio > 1.0 + max_regression:
                 ok = False
                 line += f"  REGRESSION (> {max_regression:.0%} slower)"
             lines.append(line)
@@ -548,14 +553,15 @@ def render_point(point: dict) -> str:
 def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
     """A GitHub-flavored markdown comparison table (for CI job summaries).
 
-    One row per point: current events/sec against the committed
-    baseline's. Rebuild points report link evaluations/sec instead.
+    One row per point: current wall seconds against the committed
+    baseline's (the quantity the gate checks), with the event count as a
+    plain counter. Rebuild points report link evaluations/sec instead.
     """
     by_key: Dict[tuple, dict] = {
         _point_key(p): p for p in (baseline or {}).get("points", [])
     }
-    lines = ["| point | events/sec | baseline | ratio |",
-             "| --- | ---: | ---: | ---: |"]
+    lines = ["| point | wall s | baseline | ratio | events |",
+             "| --- | ---: | ---: | ---: | ---: |"]
     for point in report.get("points", []):
         base = by_key.get(_point_key(point))
         if point.get("kind") == "neighbor-rebuild":
@@ -565,12 +571,12 @@ def markdown_table(report: dict, baseline: Optional[dict] = None) -> str:
             ratio = (f"{point['links_per_sec_grid'] / base_eps:.2f}x"
                      if base_eps else "--")
             lines.append(f"| {_point_label(point)} | {current} "
-                         f"| {base_cell} | {ratio} |")
+                         f"| {base_cell} | {ratio} | -- |")
             continue
-        eps = point.get("eps") or 0.0
-        base_eps = (base or {}).get("eps") or 0.0
-        ratio = f"{eps / base_eps:.2f}x" if base_eps > 0 else "--"
-        base_cell = f"{base_eps:,.0f}" if base_eps > 0 else "--"
-        lines.append(f"| {_point_label(point)} | {eps:,.0f} "
-                     f"| {base_cell} | {ratio} |")
+        wall = point.get("wall_s") or 0.0
+        base_wall = (base or {}).get("wall_s") or 0.0
+        ratio = f"{wall / base_wall:.2f}x" if base_wall > 0 else "--"
+        base_cell = f"{base_wall:.3f}" if base_wall > 0 else "--"
+        lines.append(f"| {_point_label(point)} | {wall:.3f} "
+                     f"| {base_cell} | {ratio} | {point.get('events')} |")
     return "\n".join(lines)

@@ -110,6 +110,10 @@ class BusyToneChannel:
         self._off_events: Dict[int, _ToneOff] = {}
         #: One-shot callbacks fired when the tone clears at a node.
         self._clear_waiters: Dict[int, List[Callable[[], None]]] = {}
+        #: node -> callback fired when the tone becomes present at the
+        #: node (presence count leaves zero). The backoff countdown
+        #: registers here only while it counts; callbacks may only schedule.
+        self._presence_watchers: Dict[int, Callable[[], None]] = {}
         #: node -> (callback, pending detection event handles)
         self._watchers: Dict[int, Tuple[Callable[[ToneType], None], List[EventHandle]]] = {}
 
@@ -342,9 +346,15 @@ class _ToneOn(FastEvent):
     def __call__(self) -> None:
         # +1 can never drop a presence count to zero, so the clear-waiter
         # path in _apply_presence is unreachable here; apply inline.
-        present = self.channel._present
+        channel = self.channel
+        present = channel._present
         node = self.node
-        present[node] = present.get(node, 0) + 1
+        count = present.get(node, 0)
+        present[node] = count + 1
+        if not count:
+            watcher = channel._presence_watchers.get(node)
+            if watcher is not None:
+                watcher()
 
 
 class _ToneOff(FastEvent):

@@ -33,7 +33,7 @@ run on the same instance.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, List, Optional, Protocol, Sequence
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence
 
 from repro.phy.error import BitErrorModel, NoErrors
 from repro.phy.neighbors import Link, NeighborService
@@ -163,6 +163,11 @@ class DataChannel:
         #: One-shot callbacks fired when a node's medium goes idle (used by
         #: the MACs to avoid per-slot polling through long busy periods).
         self._idle_waiters: Dict[int, list] = {}
+        #: node -> callback fired whenever the node's medium may have gone
+        #: from idle to busy: its busy count leaves zero, or it starts
+        #: transmitting. The backoff countdown registers here only while
+        #: it counts (see repro.mac.backoff); callbacks may only schedule.
+        self._busy_watchers: Dict[int, Callable[[], None]] = {}
         #: Free lists of fired arrival events, reused across transmissions
         #: so the per-link fan-out allocates nothing in steady state.
         self._start_pool: List[_ArrivalStart] = []
@@ -241,6 +246,9 @@ class DataChannel:
         links = self._neighbors.table_from(sender, now).links
         tx = Transmission(sender, frame, now, airtime, links)
         self._transmitting[sender] = tx
+        watcher = self._busy_watchers.get(sender)
+        if watcher is not None:
+            watcher()
         # Transmitting while receiving destroys the ongoing receptions
         # (half-duplex radio).
         ongoing = self._receiving.get(sender)
@@ -330,6 +338,10 @@ class DataChannel:
         node = link.node
         prior = self._busy.get(node, 0)
         self._busy[node] = prior + 1
+        if not prior:
+            watcher = self._busy_watchers.get(node)
+            if watcher is not None:
+                watcher()
         ongoing = self._receiving.setdefault(node, {})
         corrupted = False
         power = link.power_dbm
@@ -400,6 +412,10 @@ class DataChannel:
         if sensed:
             prior = self._busy.get(node, 0)
             self._busy[node] = prior + 1
+            if not prior:
+                watcher = self._busy_watchers.get(node)
+                if watcher is not None:
+                    watcher()
         else:
             prior = 0
         ongoing = self._receiving.setdefault(node, {})

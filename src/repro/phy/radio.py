@@ -45,8 +45,7 @@ class Radio:
         self._tones = dict(tones)
         # Direct RBT/ABT references: Enum.__hash__ is a Python-level call,
         # so dict-by-enum lookups showed up in profiles of the tone-sensing
-        # hot path (RMAC polls tones every backoff slot). Identity dispatch
-        # below avoids hashing entirely.
+        # hot path. Identity dispatch below avoids hashing entirely.
         self._rbt = self._tones.get(ToneType.RBT)
         self._abt = self._tones.get(ToneType.ABT)
         self._listener: Optional[RadioListener] = None
@@ -138,12 +137,25 @@ class Radio:
         Returns ``(busy, transmitting, present)``: the data channel's
         busy-count and active-transmitter maps plus ``tone``'s presence
         counts, all keyed by node id. The dict objects are stable for
-        the life of the channel, so a per-slot countdown can sense both
+        the life of the channel, so a backoff tick can sense both
         channels with two membership tests and a ``get`` instead of four
-        method calls -- the backoff pump is the single most frequent
-        event in a paper-scale run. Callers must treat them read-only.
+        method calls. Callers must treat them read-only.
         """
         return self._data._busy, self._data._transmitting, self._tone(tone)._present
+
+    def busy_hooks(self, *tones: ToneType) -> tuple:
+        """Idle->busy watcher maps for the data channel and each of ``tones``.
+
+        Each is a dict keyed by node id whose callback runs when that
+        node's medium may have turned busy: the data channel's when a
+        reception starts on an idle medium or the node starts
+        transmitting, a tone channel's when the tone becomes present.
+        :class:`repro.mac.backoff.SlottedCountdown` adds its node only
+        while it counts down, so an idle->busy transition costs one dict
+        lookup.
+        """
+        return (self._data._busy_watchers,
+                *(self._tone(tone)._presence_watchers for tone in tones))
 
     def tone_longest_presence(self, tone: ToneType, t0: int, t1: int) -> int:
         return self._tone(tone).longest_presence(self.node_id, t0, t1)

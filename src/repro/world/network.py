@@ -316,6 +316,7 @@ class Network:
             ),
             oracle=self.oracle.report() if self.oracle is not None else None,
             sinr=sinr_state.stats() if sinr_state is not None else None,
+            events_processed=self.sim.events_processed,
         )
 
 

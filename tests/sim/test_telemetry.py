@@ -144,6 +144,10 @@ def test_network_without_flag_has_none_telemetry():
 
     config = ScenarioConfig(protocol="rmac", n_nodes=8, width=180, height=130,
                             n_packets=3, rate_pps=5, seed=2)
-    summary = build_network(config).run()
+    network = build_network(config)
+    summary = network.run()
     assert summary.telemetry is None
-    assert summary.events_processed is None
+    # Wall-clock figures are nondeterministic and stay telemetry-only...
+    assert summary.wall_time_s is None and summary.events_per_sec is None
+    # ...but the simulator counts events anyway, so the count is always on.
+    assert summary.events_processed == network.sim.events_processed > 0

@@ -21,6 +21,21 @@ def test_run_prints_summary(capsys):
     assert "rmac" in out
 
 
+def test_run_prints_event_count_without_telemetry(capsys):
+    from repro.world.network import ScenarioConfig, build_network
+
+    code = main(["run", "--nodes", "12", "--width", "200", "--height", "140",
+                 "--packets", "10", "--rate", "5", "--seed", "2"])
+    assert code == 0
+    line = next(line for line in capsys.readouterr().out.splitlines()
+                if "simulator events" in line)
+    network = build_network(ScenarioConfig(
+        protocol="rmac", n_nodes=12, width=200.0, height=140.0,
+        n_packets=10, rate_pps=5.0, seed=2))
+    network.run()
+    assert line.split()[-1] == str(network.sim.events_processed)
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--nodes", "0", "n_nodes must be positive"),
     ("--rate", "0", "rate must be positive"),

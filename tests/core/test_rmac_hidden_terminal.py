@@ -39,7 +39,8 @@ def test_without_suppression_hidden_node_collides():
     tb = make_rmac_testbed(CHAIN[:3], seed=8)
     # Cripple node 2's RBT sensing (pretend it never senses the tone):
     # swap its RBT presence map for an empty one, so both the inlined
-    # pump sensing and _channels_idle() see a permanently silent tone.
+    # backoff-tick sensing and _channels_idle() see a permanently silent
+    # tone.
     tb.macs[2]._rbt_map = {}
     rx1 = collect_upper(tb.macs[1])
     tb.sim.at(1 * MS, lambda: tb.macs[0].send_reliable((1,), "protected", 1400))

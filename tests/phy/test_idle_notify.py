@@ -1,4 +1,4 @@
-"""The busy->idle notification paths behind the MAC pump optimization."""
+"""The busy->idle notification paths the MAC backoff countdown sleeps on."""
 
 from dataclasses import dataclass
 
